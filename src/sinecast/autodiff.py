@@ -24,10 +24,8 @@ __all__ = [
     "Tensor",
     "Parameter",
     "matmul",
-    "softmax_rows",
     "layer_norm_rows",
-    "slice_last",
-    "concat_last",
+    "multi_head_attention",
     "backward",
     "grad_check",
 ]
@@ -247,13 +245,6 @@ class Tensor:
         out._backward = bw if out.requires_grad else None
         return out
 
-    def swap_last2(self) -> "Tensor":
-        """Transpose the last two axes (matrix transpose, batch-aware)."""
-        if self.ndim < 2:
-            raise ShapeError(f"swap_last2 needs ndim >= 2, got shape {self.shape}")
-        axes = tuple(range(self.ndim - 2)) + (self.ndim - 1, self.ndim - 2)
-        return self.transpose(axes)
-
     def backward(self) -> None:
         backward(self)
 
@@ -311,21 +302,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with max subtraction for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor._from_op(y, (x,), None, "softmax_rows")
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _acc(x, y * (g - dot))
-
-    out._backward = bw if out.requires_grad else None
-    return out
-
-
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row (last axis) to zero mean and unit variance.
 
@@ -357,40 +333,74 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     return out
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start:stop) along the last axis."""
-    n = x.shape[-1]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_last: [{start}:{stop}) out of range for axis size {n}")
-    out = Tensor._from_op(x.data[..., start:stop], (x,), None, "slice_last")
+def multi_head_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Tensor | None = None
+) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(d_h) + mask) v_h for each of `n_heads` heads.
+
+    q is [..., m, d], k is [..., n, d] and v is [..., n, e] with the same
+    leading axes; head h reads the h-th of `n_heads` equal slices of the last
+    axis of each, and writes the same slice of the [..., m, e] output. The
+    optional mask is a constant additive [m, n] array.
+
+    Heads run one at a time, each on a single [..., m, n] buffer that the
+    softmax overwrites in place, so the graph keeps only the probabilities P
+    of each head. (A batched [..., H, m, n] score array was slower: at
+    L=192, B=32 each such temporary exceeds glibc's 32 MB mmap threshold and
+    is page-faulted in afresh.) Backward uses dS = P * (dP - rowsum(dP * P)) (the form
+    FlashAttention uses, Dao et al. 2022). The float operations, and their
+    order, are those of composing matmul, scale, mask add, max-shifted
+    softmax and matmul node by node, so the results equal that composition
+    bit for bit.
+    """
+    if n_heads < 1:
+        raise ShapeError(f"multi_head_attention: n_heads={n_heads} must be >= 1")
+    if q.ndim < 2 or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"multi_head_attention: query {q.shape} vs key {k.shape}")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"multi_head_attention: key {k.shape} vs value {v.shape}")
+    if q.shape[-1] % n_heads or v.shape[-1] % n_heads:
+        raise ShapeError(
+            f"multi_head_attention: widths {q.shape[-1]} and {v.shape[-1]} not divisible by {n_heads} heads"
+        )
+    if mask is not None:
+        if mask.shape != (q.shape[-2], k.shape[-2]):
+            raise ShapeError(f"multi_head_attention: mask {mask.shape} vs scores {q.shape[-2]}x{k.shape[-2]}")
+        if mask.requires_grad:
+            raise GraphError("multi_head_attention: the mask must be a constant")
+    dh, eh = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    heads = [(slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)) for h in range(n_heads)]
+
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    probs = []
+    for qk, vs in heads:
+        p = q.data[..., qk] @ np.swapaxes(k.data[..., qk], -1, -2)
+        p *= scale
+        if mask is not None:
+            p += mask.data
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[..., vs] = p @ v.data[..., vs]
+        probs.append(p)
+    out = Tensor._from_op(out, (q, k, v), None, "multi_head_attention")
 
     def bw(g):
-        full = np.zeros(x.shape)
-        full[..., start:stop] = g
-        _acc(x, full)
-
-    out._backward = bw if out.requires_grad else None
-    return out
-
-
-def concat_last(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis; all other axes must match."""
-    if not parts:
-        raise ShapeError("concat_last: empty input")
-    lead = parts[0].shape[:-1]
-    for p in parts:
-        if p.shape[:-1] != lead:
-            raise ShapeError(f"concat_last: leading shapes differ ({[p.shape for p in parts]})")
-    widths = [p.shape[-1] for p in parts]
-    out = Tensor._from_op(
-        np.concatenate([p.data for p in parts], axis=-1), tuple(parts), None, "concat_last"
-    )
-
-    def bw(g):
-        ofs = 0
-        for p, w in zip(parts, widths):
-            _acc(p, g[..., ofs:ofs + w])
-            ofs += w
+        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for (qk, vs), p in zip(heads, probs):
+            g_h = g[..., vs]
+            gv[..., vs] = np.swapaxes(p, -1, -2) @ g_h
+            ds = g_h @ np.swapaxes(v.data[..., vs], -1, -2)
+            dot = (ds * p).sum(axis=-1, keepdims=True)
+            ds -= dot
+            ds *= p
+            ds *= scale
+            gq[..., qk] = ds @ k.data[..., qk]
+            gk[..., qk] = np.swapaxes(ds, -1, -2) @ q.data[..., qk]
+        _acc(q, gq)
+        _acc(k, gk)
+        _acc(v, gv)
 
     out._backward = bw if out.requires_grad else None
     return out

@@ -407,11 +407,16 @@ def tail_portion(table: TimeSeriesTable, portion: float) -> TimeSeriesTable:
 
 
 def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int) -> int:
-    """Rough peak size of attention score buffers for one training step.
+    """Rough peak size of the attention buffers of one training step.
 
-    Per attention site the forward pass holds scores, the softmax output,
-    and the backward pass about two more arrays of the same [batch, T, T]
-    shape per head, hence the factor 4. Non-attention models return 0.
+    Attention is one autodiff op (``autodiff.multi_head_attention``). For
+    backward it keeps, per attention site, one [batch, T, T] array of softmax
+    probabilities per head; backward adds two transient arrays of that shape
+    (dP, overwritten into dS, and the product dP * P) for one head at a time.
+    The factor 4 per head and site covers those buffers. The projection,
+    feed-forward and layer-norm activations are not counted, so at short
+    horizons a step's measured peak can exceed this estimate. Non-attention
+    models return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

@@ -14,15 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    concat_last,
-    layer_norm_rows,
-    matmul,
-    slice_last,
-    softmax_rows,
-)
+from .autodiff import Parameter, Tensor, layer_norm_rows, matmul, multi_head_attention
 from .errors import ConfigError, ShapeError
 
 __all__ = [
@@ -183,17 +175,13 @@ def moving_average(x: Tensor, kernel: int) -> Tensor:
     return matmul(x, m.transpose())
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None) -> Tensor:
-    """softmax_rows(q k^T / sqrt(d)) v, for [m, d] rows or [N, m, d] batches."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention: query dim {q.shape} vs key dim {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention: {k.shape[-2]} keys vs {v.shape[-2]} values")
-    d = q.shape[-1]
-    scores = matmul(q, k.swap_last2()) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        scores = scores + mask
-    return matmul(softmax_rows(scores), v)
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None, n_heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v per head, for [m, d] rows or [N, m, d] batches.
+
+    One autodiff op (:func:`multi_head_attention`) that keeps only the
+    softmax probabilities of each head for backward.
+    """
+    return multi_head_attention(q, k, v, n_heads, mask)
 
 
 def _multi_head(
@@ -202,18 +190,7 @@ def _multi_head(
     q = dense(q_src, p.w_q)
     k = dense(kv_src, p.w_k)
     v = dense(kv_src, p.w_v)
-    d = q.shape[-1]
-    dh = d // n_heads
-    heads = [
-        attention(
-            slice_last(q, h * dh, (h + 1) * dh),
-            slice_last(k, h * dh, (h + 1) * dh),
-            slice_last(v, h * dh, (h + 1) * dh),
-            mask,
-        )
-        for h in range(n_heads)
-    ]
-    return dense(concat_last(heads), p.w_o)
+    return dense(attention(q, k, v, mask, n_heads), p.w_o)
 
 
 def _ffn(p: FeedForwardParams, x: Tensor) -> Tensor:

@@ -10,12 +10,10 @@ from sinecast.autodiff import (
     Parameter,
     Tensor,
     backward,
-    concat_last,
     grad_check,
     layer_norm_rows,
     matmul,
-    slice_last,
-    softmax_rows,
+    multi_head_attention,
 )
 from sinecast.errors import GraphError, NumericError, ShapeError
 
@@ -38,6 +36,31 @@ def numeric_grad(loss_fn, param, h=1e-5):
 
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def softmax_of(logits):
+    """Row softmax of `logits` as computed inside multi_head_attention.
+
+    Zero queries make every score zero, the logits enter as the additive
+    mask, and identity values return the probabilities themselves.
+    """
+    m, n = logits.shape
+    zeros = Tensor(np.zeros((m, 1)))
+    return multi_head_attention(zeros, Tensor(np.zeros((n, 1))), Tensor(np.eye(n)), 1, Tensor(logits)).data
+
+
+def reference_attention(q, k, v, n_heads, mask=None):
+    """Plain numpy multi-head attention, one head at a time."""
+    dk, dv = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        qh, kh, vh = q[..., h * dk:(h + 1) * dk], k[..., h * dk:(h + 1) * dk], v[..., h * dv:(h + 1) * dv]
+        s = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(dk)
+        if mask is not None:
+            s = s + mask
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
+    return np.concatenate(heads, axis=-1)
 
 
 class TestForwardValues:
@@ -78,19 +101,19 @@ class TestForwardValues:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
-        y = softmax_rows(Tensor(rng.normal(size=(5, 7)) * 10)).data
+        y = softmax_of(rng.normal(size=(5, 7)) * 10)
         assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-12
         assert (y > 0).all()
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(3, 6))
-        y1 = softmax_rows(Tensor(x)).data
-        y2 = softmax_rows(Tensor(x + 123.456)).data
+        y1 = softmax_of(x)
+        y2 = softmax_of(x + 123.456)
         assert np.abs(y1 - y2).max() < 1e-12
 
     def test_softmax_extreme_logits_stay_finite(self):
-        y = softmax_rows(Tensor(np.array([[0.0, 100.0], [-1e9, 0.0]]))).data
+        y = softmax_of(np.array([[0.0, 100.0], [-1e9, 0.0]]))
         assert np.isfinite(y).all()
         assert y[0, 0] < 1e-40
         assert abs(y[1, 1] - 1.0) < 1e-12
@@ -118,13 +141,6 @@ class TestForwardValues:
         got = layer_norm_rows(Tensor(x), Tensor(gamma), Tensor(beta), eps=eps).data
         assert np.abs(got - expected).max() < 1e-12
 
-    def test_slice_concat_roundtrip(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.normal(size=(3, 4, 8)))
-        parts = [slice_last(x, i * 2, (i + 1) * 2) for i in range(4)]
-        back = concat_last(parts)
-        assert np.array_equal(back.data, x.data)
-
     def test_mean_and_sum(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert x.sum().item() == 10.0
@@ -148,10 +164,6 @@ class TestShapeValidation:
     def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 3))) * Tensor(np.zeros((2, 4)))
-
-    def test_slice_out_of_range(self):
-        with pytest.raises(ShapeError):
-            slice_last(Tensor(np.zeros((2, 4))), 2, 6)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(NumericError):
@@ -196,10 +208,13 @@ class TestGradients:
         self._check(lambda: matmul(a, b).mean(), [a, b])
 
     def test_softmax(self):
+        # identity values expose the probabilities, so only the softmax
+        # backward (and the score matmul) lies between q and the loss
         rng = np.random.default_rng(23)
-        x = Parameter(rng.normal(size=(4, 5)), "x")
+        q = Parameter(rng.normal(size=(4, 3)), "q")
+        k = Tensor(rng.normal(size=(5, 3)))
         w = Tensor(rng.normal(size=(4, 5)))
-        self._check(lambda: (softmax_rows(x) * w).sum(), [x])
+        self._check(lambda: (multi_head_attention(q, k, Tensor(np.eye(5)), 1) * w).sum(), [q])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(24)
@@ -216,16 +231,14 @@ class TestGradients:
         x = Parameter(rng.normal(size=(4, 4)) + 0.3, "x")
         self._check(lambda: (x.sin().relu() + x.abs()).sum(), [x])
 
-    def test_reshape_transpose_slice_concat(self):
+    def test_reshape_transpose(self):
         rng = np.random.default_rng(26)
         x = Parameter(rng.normal(size=(2, 3, 4)), "x")
-        w = Tensor(rng.normal(size=(4, 6)))
+        w = Tensor(rng.normal(size=(3, 6)))
 
         def loss():
             t = x.transpose((0, 2, 1)).reshape(8, 3)
-            left = slice_last(t, 0, 2)
-            right = slice_last(t, 1, 3)
-            return (matmul(concat_last([left, right]), w) * 0.5).mean()
+            return (matmul(t, w) * 0.5).mean()
 
         self._check(loss, [x])
 
@@ -268,6 +281,60 @@ class TestGradients:
         ref = weakref.ref(mid)
         del mid, loss
         assert ref() is None
+
+
+def causal(m, n):
+    return np.triu(np.full((m, n), -1e9), k=1)
+
+
+class TestMultiHeadAttention:
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("m, n", [(5, 5), (3, 6)])
+    def test_gradients(self, n_heads, masked, m, n):
+        rng = np.random.default_rng(40)
+        q = Parameter(rng.normal(size=(2, m, 8)), "q")
+        k = Parameter(rng.normal(size=(2, n, 8)), "k")
+        v = Parameter(rng.normal(size=(2, n, 8)), "v")
+        w = Tensor(rng.normal(size=(2, m, 8)))
+        mask = Tensor(causal(m, n)) if masked else None
+        err = grad_check(
+            lambda: (multi_head_attention(q, k, v, n_heads, mask) * w).sum(),
+            [q, k, v],
+            max_coords_per_param=200,
+        )
+        assert err < 1e-7
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_per_head_reference(self, n_heads, masked):
+        rng = np.random.default_rng(41)
+        q = rng.normal(size=(3, 4, 8)) * 2
+        k = rng.normal(size=(3, 7, 8)) * 2
+        v = rng.normal(size=(3, 7, 12))
+        mask = causal(4, 7) if masked else None
+        got = multi_head_attention(
+            Tensor(q), Tensor(k), Tensor(v), n_heads, None if mask is None else Tensor(mask)
+        ).data
+        assert np.abs(got - reference_attention(q, k, v, n_heads, mask)).max() < 1e-12
+
+    def test_shape_errors(self):
+        z = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            multi_head_attention(z, Tensor(np.zeros((2, 3, 5))), z, 1)
+        with pytest.raises(ShapeError):
+            multi_head_attention(z, z, Tensor(np.zeros((2, 4, 4))), 1)
+        with pytest.raises(ShapeError):
+            multi_head_attention(z, z, z, 3)
+        with pytest.raises(ShapeError):
+            multi_head_attention(z, z, z, 0)
+        with pytest.raises(ShapeError):
+            multi_head_attention(z, z, z, 2, Tensor(np.zeros((3, 4))))
+
+    def test_mask_must_be_constant(self):
+        z = Tensor(np.zeros((3, 4)))
+        with pytest.raises(GraphError):
+            multi_head_attention(z, z, z, 1, Parameter(np.zeros((3, 3)), "mask"))
 
 
 @settings(max_examples=100, deadline=None)

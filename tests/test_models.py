@@ -362,6 +362,14 @@ class TestFullModels:
         assert err < 1e-4
 
     @pytest.mark.parametrize("variant", ["Sencoder", "Sinformer"])
+    def test_attention_output_does_not_depend_on_batch_size(self, variant):
+        m = Forecaster(toy_config(variant, channels=2, seed=14))
+        x = np.random.default_rng(31).normal(size=(4, 8, 2))
+        together = m(Tensor(x)).data
+        alone = np.concatenate([m(Tensor(x[i:i + 1])).data for i in range(4)])
+        assert np.abs(together - alone).max() < 1e-12
+
+    @pytest.mark.parametrize("variant", ["Sencoder", "Sinformer"])
     def test_attention_model_gradients(self, variant):
         m = Forecaster(toy_config(variant, seed=12))
         x = Tensor(np.random.default_rng(28).normal(size=(2, 8, 1)))
