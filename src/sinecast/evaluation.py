@@ -7,6 +7,7 @@ positive means the model beats the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -17,11 +18,10 @@ from .models import Forecaster
 
 __all__ = [
     "EvalResult",
-    "ImprovementRow",
     "mae",
     "evaluate",
     "improvement",
-    "aggregate_improvements",
+    "mean_improvements",
 ]
 
 
@@ -40,24 +40,6 @@ class EvalResult:
             raise ConfigError(f"mae must be non-negative, got {self.mae}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
-
-
-@dataclass(frozen=True)
-class ImprovementRow:
-    model: str
-    horizon: int
-    mean_improvement: float
-    n_datasets: int = 1
-
-    @property
-    def beats_baseline(self) -> bool:
-        return self.mean_improvement > 0.0
-
-    def __post_init__(self):
-        if self.mean_improvement > 1.0:
-            raise ConfigError(
-                f"improvement {self.mean_improvement} exceeds 1 (cannot beat baseline by more than 100%)"
-            )
 
 
 def _as_array(x) -> np.ndarray:
@@ -109,26 +91,16 @@ def improvement(baseline_mae: float, model_mae: float) -> float:
     return (baseline_mae - model_mae) / baseline_mae
 
 
-def aggregate_improvements(
-    results: list[EvalResult], baseline_results: list[EvalResult]
-) -> list[ImprovementRow]:
-    """Mean improvement over datasets for every (model, horizon) pair.
+def mean_improvements(rows: Iterable[Mapping]) -> dict[tuple[str, int], tuple[float, int]]:
+    """Mean improvement over datasets for every (model, horizon) of result rows.
 
-    Every (dataset, horizon) in `results` must have a baseline entry.
+    Averages the `improvement_vs_persistence` of each ok row of a trained
+    model; rows without one (a failed or zero baseline) are left out.
+    Returns {(model, horizon): (mean improvement, number of rows averaged)}.
     """
-    base = {(r.dataset, r.horizon): r.mae for r in baseline_results}
     buckets: dict[tuple[str, int], list[float]] = {}
-    for r in results:
-        key = (r.dataset, r.horizon)
-        if key not in base:
-            raise ConfigError(f"no baseline result for dataset={r.dataset!r} horizon={r.horizon}")
-        buckets.setdefault((r.model, r.horizon), []).append(improvement(base[key], r.mae))
-    return [
-        ImprovementRow(
-            model=model,
-            horizon=horizon,
-            mean_improvement=float(np.mean(vals)),
-            n_datasets=len(vals),
-        )
-        for (model, horizon), vals in sorted(buckets.items())
-    ]
+    for r in rows:
+        imp = r.get("improvement_vs_persistence")
+        if r["status"] == "ok" and r["model"] != "Persistence" and imp is not None:
+            buckets.setdefault((r["model"], r["horizon"]), []).append(imp)
+    return {key: (sum(vals) / len(vals), len(vals)) for key, vals in buckets.items()}

@@ -41,7 +41,7 @@ from .errors import ConfigError, SinecastError, TuningError
 from .evaluation import evaluate, improvement
 from .models import VARIANTS, Forecaster, ModelConfig, save_checkpoint
 from .reporting import write_report, write_results_csv
-from .training import LrSchedule, TrainConfig, train_model
+from .training import LrSchedule, TrainConfig, TrainReport, train_model
 
 __all__ = [
     "DatasetSource",
@@ -455,20 +455,9 @@ def _resolve_out_dir(cfg: ExperimentConfig, out_dir) -> Path:
     return p
 
 
-def _train_and_score(
-    cfg: ExperimentConfig,
-    variant: str,
-    horizon: int,
-    input_len: int,
-    train_t: TimeSeriesTable,
-    val_t: TimeSeriesTable,
-    test_t: TimeSeriesTable,
-    log_path: Path | None,
-    checkpoint_path: Path | None,
-) -> tuple[float, int, int | None]:
-    """Returns (test MAE, n test windows, best epoch or None for baseline)."""
-    channels = test_t.n_channels
-    mcfg = ModelConfig(
+def _model_config(cfg: ExperimentConfig, variant: str, horizon: int, input_len: int,
+                  channels: int) -> ModelConfig:
+    return ModelConfig(
         variant=variant,
         input_len=input_len,
         horizon=horizon,
@@ -479,30 +468,55 @@ def _train_and_score(
         ma_kernel=cfg.ma_kernel,
         seed=cfg.seed,
     )
-    model = Forecaster(mcfg)
-    eval_batch = cfg.eval_batch_size
-    best_epoch = None
-    if variant != "Persistence":
-        if variant in ATTENTION_MODELS:
-            # Batched evaluation is exact, so capping the eval batch only
-            # bounds memory, never changes the score.
-            eval_batch = min(eval_batch, cfg.batch_size)
-        train_ds = make_windows(train_t, input_len, horizon, cfg.stride)
-        val_ds = make_windows(val_t, input_len, horizon, cfg.eval_stride)
-        tcfg = TrainConfig(
-            schedule=LrSchedule(cfg.lr_start, cfg.lr_end, cfg.epochs),
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            loss=cfg.loss,
-            eval_batch_size=eval_batch,
-        )
-        report = train_model(model, train_ds, val_ds, tcfg, log_path=log_path)
-        best_epoch = report.best_epoch
-    test_ds = make_windows(test_t, input_len, horizon, cfg.eval_stride)
-    result = evaluate(model, test_ds, dataset_name=test_t.name, batch_size=eval_batch)
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path)
-    return result.mae, result.n_windows, best_epoch
+
+
+def _eval_batch(cfg: ExperimentConfig, variant: str) -> int:
+    if variant in ATTENTION_MODELS:
+        # Batched evaluation is exact, so capping the eval batch only
+        # bounds memory, never changes the score.
+        return min(cfg.eval_batch_size, cfg.batch_size)
+    return cfg.eval_batch_size
+
+
+def _over_budget(cfg: ExperimentConfig, variant: str, horizon: int, n_train: int) -> str:
+    """The skip reason when the attention buffers exceed the budget, else ""."""
+    batch = min(cfg.batch_size, n_train) if n_train else cfg.batch_size
+    est = attention_memory_bytes(variant, cfg.n_heads, batch, horizon)
+    if est <= cfg.memory_budget_mb * 2**20:
+        return ""
+    return (
+        f"intractable at this horizon: ~{est / 2**20:.0f} MB of attention "
+        f"buffers exceed the {cfg.memory_budget_mb:.0f} MB budget"
+    )
+
+
+def _failure(exc: Exception) -> str:
+    """The reason a failed cell or tuning candidate records."""
+    if isinstance(exc, SinecastError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _fit(
+    cfg: ExperimentConfig,
+    variant: str,
+    horizon: int,
+    input_len: int,
+    train_ds: WindowDataset,
+    val_t: TimeSeriesTable,
+    log_path: Path,
+) -> tuple[Forecaster, TrainReport]:
+    """Build a model and train it; it comes back with its best validation epoch restored."""
+    model = Forecaster(_model_config(cfg, variant, horizon, input_len, val_t.n_channels))
+    tcfg = TrainConfig(
+        schedule=LrSchedule(cfg.lr_start, cfg.lr_end, cfg.epochs),
+        batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        loss=cfg.loss,
+        eval_batch_size=_eval_batch(cfg, variant),
+    )
+    val_ds = make_windows(val_t, input_len, horizon, cfg.eval_stride)
+    return model, train_model(model, train_ds, val_ds, tcfg, log_path=log_path)
 
 
 def _run_cell(
@@ -526,34 +540,28 @@ def _run_cell(
         status="ok",
     )
     started = time.perf_counter()
+    stem = f"{_slug(dataset)}_{variant}_{horizon}"
     try:
-        if variant in ATTENTION_MODELS:
-            n_train = len(make_windows(train_t, input_len, horizon, cfg.stride))
-            batch = min(cfg.batch_size, n_train) if n_train else cfg.batch_size
-            est = attention_memory_bytes(variant, cfg.n_heads, batch, horizon)
-            budget = cfg.memory_budget_mb * 2**20
-            if est > budget:
-                record.status = "skipped"
-                record.reason = (
-                    f"intractable at this horizon: ~{est / 2**20:.0f} MB of attention "
-                    f"buffers exceed the {cfg.memory_budget_mb:.0f} MB budget"
-                )
+        best_epoch = None
+        if variant == "Persistence":
+            model = Forecaster(_model_config(cfg, variant, horizon, input_len, test_t.n_channels))
+        else:
+            train_ds = make_windows(train_t, input_len, horizon, cfg.stride)
+            skip = _over_budget(cfg, variant, horizon, len(train_ds))
+            if skip:
+                record.status, record.reason = "skipped", skip
                 return record, time.perf_counter() - started
-        log_path = None
-        checkpoint_path = None
-        if variant != "Persistence":
-            log_path = out / "logs" / f"{_slug(dataset)}_{variant}_{horizon}.csv"
+            model, report = _fit(cfg, variant, horizon, input_len, train_ds, val_t,
+                                 out / "logs" / f"{stem}.csv")
+            best_epoch = report.best_epoch
+        test_ds = make_windows(test_t, input_len, horizon, cfg.eval_stride)
+        result = evaluate(model, test_ds, dataset_name=test_t.name,
+                          batch_size=_eval_batch(cfg, variant))
         if cfg.save_checkpoints and variant != "Persistence":
-            checkpoint_path = out / "checkpoints" / f"{_slug(dataset)}_{variant}_{horizon}.json"
-        record.mae, record.n_windows, record.best_epoch = _train_and_score(
-            cfg, variant, horizon, input_len, train_t, val_t, test_t, log_path, checkpoint_path
-        )
-    except SinecastError as exc:
-        record.status = "error"
-        record.reason = str(exc)
+            save_checkpoint(model, out / "checkpoints" / f"{stem}.json")
+        record.mae, record.n_windows, record.best_epoch = result.mae, result.n_windows, best_epoch
     except Exception as exc:  # keep the grid going, the row carries the cause
-        record.status = "error"
-        record.reason = f"{type(exc).__name__}: {exc}"
+        record.status, record.reason = "error", _failure(exc)
     return record, time.perf_counter() - started
 
 
@@ -640,15 +648,14 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
     Selection is by validation MAE with ties broken toward the shorter
     input and then the larger portion. Standardization statistics come from
     the full training segment, so scores are comparable across portions.
+    Candidates train through the same code as `run_experiment` cells: the
+    memory guard skips them and a failure becomes an error row. A (model,
+    horizon) with a skipped candidate but none that trained gets no entry in
+    best.json; one whose candidates are all infeasible or failed raises.
     """
     out = _resolve_out_dir(cfg, out_dir)
     (out / "logs").mkdir(exist_ok=True)
-    table = load_source(cfg.source)
-    train_t, val_t, _ = split(table, cfg.split)
-    if cfg.standardize:
-        stats = fit_standardizer(train_t)
-        train_t = apply_standardizer(train_t, stats)
-        val_t = apply_standardizer(val_t, stats)
+    train_t, val_t, _ = prepared_segments(dataclasses.replace(cfg, train_portion=1.0))
 
     trained = [m for m in cfg.models if m != "Persistence"]
     if not trained:
@@ -662,6 +669,7 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
         lens = cfg.tuning_input_lens or _default_tuning_lens(horizon)
         for model in trained:
             candidates: list[tuple[float, int, float, int]] = []
+            skipped = False
             for input_len in lens:
                 for portion in portions:
                     row = {
@@ -675,12 +683,12 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
                         "val_mae": None,
                         "best_epoch": None,
                     }
+                    rows.append(row)
                     if input_len < horizon:
                         # keeps every candidate comparable to the copy-forward
                         # baseline, which needs input_len >= horizon
                         row["status"] = "infeasible"
                         row["reason"] = f"input_len {input_len} < horizon {horizon}"
-                        rows.append(row)
                         continue
                     span = input_len + horizon
                     tail = tail_portion(train_t, portion)
@@ -690,49 +698,27 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
                             f"needs {span} rows, train tail has {tail.length}, "
                             f"val has {val_t.length}"
                         )
-                        rows.append(row)
                         continue
+                    log_path = out / "logs" / (
+                        f"tune_{_slug(dataset)}_{model}_{horizon}_{input_len}_{portion}.csv"
+                    )
                     try:
-                        mcfg = ModelConfig(
-                            variant=model,
-                            input_len=input_len,
-                            horizon=horizon,
-                            channels=train_t.n_channels,
-                            d_model=cfg.d_model,
-                            n_heads=cfg.n_heads,
-                            ffn_dim=cfg.ffn_dim,
-                            ma_kernel=cfg.ma_kernel,
-                            seed=cfg.seed,
-                        )
-                        forecaster = Forecaster(mcfg)
-                        eval_batch = cfg.eval_batch_size
-                        if model in ATTENTION_MODELS:
-                            eval_batch = min(eval_batch, cfg.batch_size)
-                        report = train_model(
-                            forecaster,
-                            make_windows(tail, input_len, horizon, cfg.stride),
-                            make_windows(val_t, input_len, horizon, cfg.eval_stride),
-                            TrainConfig(
-                                schedule=LrSchedule(cfg.lr_start, cfg.lr_end, cfg.epochs),
-                                batch_size=cfg.batch_size,
-                                seed=cfg.seed,
-                                loss=cfg.loss,
-                                eval_batch_size=eval_batch,
-                            ),
-                            log_path=out / "logs" / (
-                                f"tune_{_slug(dataset)}_{model}_{horizon}_{input_len}_{portion}.csv"
-                            ),
-                        )
-                    except SinecastError as exc:
-                        row["status"] = "error"
-                        row["reason"] = str(exc)
-                        rows.append(row)
+                        train_ds = make_windows(tail, input_len, horizon, cfg.stride)
+                        row["reason"] = _over_budget(cfg, model, horizon, len(train_ds))
+                        if row["reason"]:
+                            row["status"] = "skipped"
+                            skipped = True
+                            continue
+                        _, report = _fit(cfg, model, horizon, input_len, train_ds, val_t, log_path)
+                    except Exception as exc:  # keep searching, the row carries the cause
+                        row["status"], row["reason"] = "error", _failure(exc)
                         continue
                     row["val_mae"] = report.best_val_mae
                     row["best_epoch"] = report.best_epoch
-                    rows.append(row)
                     candidates.append((report.best_val_mae, input_len, -portion, report.best_epoch))
             if not candidates:
+                if skipped:
+                    continue
                 raise TuningError(f"no feasible tuning candidate for {model} at horizon {horizon}")
             val_mae, input_len, neg_portion, best_epoch = min(candidates)
             best[f"{model}@{horizon}"] = {

@@ -9,7 +9,7 @@ emit values in [-1, 1] and are meant for standardized data.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -329,15 +329,7 @@ class Forecaster:
         self.w = self._weight("w", l, i)
         self.b = self._bias("b", l)
 
-    def _build_nlinear(self):
-        i, l = self.config.input_len, self.config.horizon
-        self.w = self._weight("w", l, i)
-        self.b = self._bias("b", l)
-        sel = np.zeros((i, 1))
-        sel[i - 1, 0] = 1.0
-        self._last_selector = Tensor(sel)
-        self._rep_input = Tensor(np.ones((1, i)))
-        self._rep_horizon = Tensor(np.ones((1, l)))
+    _build_nlinear = _build_linear
 
     def _build_dlinear(self):
         i, l = self.config.input_len, self.config.horizon
@@ -422,9 +414,10 @@ def linear_family_forward(model: Forecaster, x: Tensor) -> Tensor:
     if variant == "Linear":
         out = dense(xc, model.w, model.b)
     elif variant == "NLinear":
-        last = matmul(xc, model._last_selector)  # [N, 1]
-        centered = xc - matmul(last, model._rep_input)
-        out = dense(centered, model.w, model.b) + matmul(last, model._rep_horizon)
+        # the input never requires grad, so its last value is a constant
+        last = xc.data[:, -1:]
+        out = dense(Tensor(xc.data - last), model.w, model.b)
+        out = out + Tensor(np.broadcast_to(last, out.shape))
     elif variant == "DLinear":
         trend = matmul(xc, model._smooth.transpose())
         seasonal = xc - trend
@@ -478,10 +471,13 @@ def save_checkpoint(model: Forecaster, path) -> None:
 
 
 def load_checkpoint(path) -> Forecaster:
+    """Rebuild a saved model; unknown config keys and non-finite values are rejected."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    known = {f.name for f in fields(ModelConfig)}
-    cfg_dict = {k: v for k, v in payload["config"].items() if k in known}
-    model = Forecaster(ModelConfig(**cfg_dict))
+    try:
+        config = ModelConfig(**payload["config"])
+    except TypeError as exc:
+        raise ConfigError(f"checkpoint config: {exc}") from exc
+    model = Forecaster(config)
     saved = payload["parameters"]
     if set(saved) != set(model.params):
         missing = set(model.params) - set(saved)
@@ -492,5 +488,7 @@ def load_checkpoint(path) -> Forecaster:
         p = model.params[name]
         if arr.shape != p.shape:
             raise ConfigError(f"checkpoint {name}: shape {arr.shape} vs expected {p.shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint {name}: non-finite values")
         p.data = arr
     return model

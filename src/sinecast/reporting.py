@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DataError
+from .evaluation import mean_improvements
 from .models import VARIANTS
 from .reference import canonical_dataset_key, literature_models, reported_mae
 
@@ -165,11 +166,7 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
         "",
     ]
 
-    improvements: dict[tuple[str, int], list[float]] = {}
-    for r in ok:
-        imp = r.get("improvement_vs_persistence")
-        if r["model"] != "Persistence" and imp is not None:
-            improvements.setdefault((r["model"], r["horizon"]), []).append(imp)
+    improvements = mean_improvements(rows)
     if improvements:
         lines += ["## Mean improvement over the baseline", ""]
         lines.append("| model | horizon | mean improvement | datasets |")
@@ -178,9 +175,8 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
             improvements.items(),
             key=lambda kv: (_variant_rank(kv[0][0]), kv[0][0], kv[0][1]),
         )
-        for (model, horizon), vals in ordered:
-            mean = sum(vals) / len(vals)
-            lines.append(f"| {model} | {horizon} | {100.0 * mean:.1f}% | {len(vals)} |")
+        for (model, horizon), (mean, n) in ordered:
+            lines.append(f"| {model} | {horizon} | {100.0 * mean:.1f}% | {n} |")
         lines.append("")
 
     not_ok = [r for r in rows if r["status"] != "ok"]

@@ -16,7 +16,7 @@ import pytest
 
 from sinecast.autodiff import Parameter, Tensor, grad_check
 from sinecast.data import SplitSpec, make_windows, split
-from sinecast.evaluation import EvalResult, aggregate_improvements, evaluate, improvement
+from sinecast.evaluation import evaluate, improvement, mean_improvements
 from sinecast.experiment import DatasetSource, ExperimentConfig, run_experiment
 from sinecast.models import VARIANTS, Forecaster, ModelConfig
 from sinecast.synthetic import as_table, sine_series
@@ -221,21 +221,16 @@ def test_criterion_6_optimizer_and_schedule_oracles():
 
 def test_criterion_7_improvement_formula_and_aggregation():
     imp = improvement(0.480, 0.392)
-    results = [
-        EvalResult("site-a", "SLP", 96, 96, 0.4, 10),
-        EvalResult("site-b", "SLP", 96, 96, 0.3, 10),
+    rows = [
+        {"dataset": dataset, "model": "SLP", "horizon": 96, "status": "ok",
+         "improvement_vs_persistence": improvement(base, model_mae)}
+        for dataset, base, model_mae in (("site-a", 0.5, 0.4), ("site-b", 0.6, 0.3))
     ]
-    baselines = [
-        EvalResult("site-a", "Persistence", 96, 96, 0.5, 10),
-        EvalResult("site-b", "Persistence", 96, 96, 0.6, 10),
-    ]
-    rows = aggregate_improvements(results, baselines)
+    means = mean_improvements(rows)
     expected_mean = (improvement(0.5, 0.4) + improvement(0.6, 0.3)) / 2.0
     ok = (
         abs(imp - 11.0 / 60.0) <= 1e-9
-        and len(rows) == 1
-        and rows[0].mean_improvement == expected_mean
-        and rows[0].n_datasets == 2
+        and means == {("SLP", 96): (expected_mean, 2)}
     )
     assert _verdict(
         7, ok,

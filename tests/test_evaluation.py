@@ -7,12 +7,10 @@ from sinecast.autodiff import Tensor
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError, ShapeError
 from sinecast.evaluation import (
-    EvalResult,
-    ImprovementRow,
-    aggregate_improvements,
     evaluate,
     improvement,
     mae,
+    mean_improvements,
 )
 from sinecast.models import Forecaster, ModelConfig
 
@@ -107,47 +105,33 @@ class TestImprovement:
             improvement(-1.0, 0.5)
 
 
-def _result(dataset, model, horizon, value):
-    return EvalResult(dataset=dataset, model=model, horizon=horizon, input_len=horizon,
-                      mae=value, n_windows=10)
+def _row(dataset, model, horizon, imp, status="ok"):
+    return {"dataset": dataset, "model": model, "horizon": horizon, "status": status,
+            "improvement_vs_persistence": imp}
 
 
 class TestAggregateImprovements:
     def test_single_dataset_row(self):
-        base = [_result("a", "Persistence", 96, 0.5)]
-        res = [_result("a", "SLP", 96, 0.4)]
-        rows = aggregate_improvements(res, base)
-        assert len(rows) == 1
-        assert rows[0].model == "SLP" and rows[0].horizon == 96
-        assert abs(rows[0].mean_improvement - 0.2) < 1e-15
-        assert rows[0].beats_baseline
+        rows = [_row("a", "Persistence", 96, None), _row("a", "SLP", 96, improvement(0.5, 0.4)),
+                _row("a", "MLP", 96, None, status="error")]
+        means = mean_improvements(rows)
+        assert list(means) == [("SLP", 96)]
+        mean, n = means[("SLP", 96)]
+        assert abs(mean - 0.2) < 1e-15
+        assert n == 1
 
     def test_mean_over_datasets(self):
-        base = [_result("a", "Persistence", 96, 1.0), _result("b", "Persistence", 96, 1.0)]
-        res = [_result("a", "SLP", 96, 0.8), _result("b", "SLP", 96, 0.6)]
-        rows = aggregate_improvements(res, base)
-        assert abs(rows[0].mean_improvement - 0.3) < 1e-15
-        assert rows[0].n_datasets == 2
+        rows = [_row("a", "SLP", 96, improvement(1.0, 0.8)), _row("b", "SLP", 96, improvement(1.0, 0.6))]
+        mean, n = mean_improvements(rows)[("SLP", 96)]
+        assert abs(mean - 0.3) < 1e-15
+        assert n == 2
 
     def test_separate_rows_per_horizon_and_model(self):
-        base = [_result("a", "Persistence", h, 1.0) for h in (96, 192)]
-        res = [_result("a", m, h, 0.9) for m in ("SLP", "MLP") for h in (96, 192)]
-        rows = aggregate_improvements(res, base)
-        assert {(r.model, r.horizon) for r in rows} == {
+        rows = [_row("a", m, h, 0.1) for m in ("SLP", "MLP") for h in (96, 192)]
+        assert set(mean_improvements(rows)) == {
             ("SLP", 96), ("SLP", 192), ("MLP", 96), ("MLP", 192)
         }
 
     def test_worse_than_baseline_is_negative(self):
-        base = [_result("a", "Persistence", 96, 0.5)]
-        rows = aggregate_improvements([_result("a", "MLP", 96, 0.9)], base)
-        assert rows[0].mean_improvement < 0
-        assert not rows[0].beats_baseline
-
-    def test_missing_baseline_named(self):
-        base = [_result("a", "Persistence", 96, 0.5)]
-        with pytest.raises(ConfigError, match="horizon=192"):
-            aggregate_improvements([_result("a", "SLP", 192, 0.4)], base)
-
-    def test_improvement_row_cap(self):
-        with pytest.raises(ConfigError, match="exceeds 1"):
-            ImprovementRow(model="SLP", horizon=96, mean_improvement=1.2)
+        mean, _ = mean_improvements([_row("a", "MLP", 96, improvement(0.5, 0.9))])[("MLP", 96)]
+        assert mean < 0

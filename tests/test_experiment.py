@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from sinecast import experiment
+from sinecast.cli import main
 from sinecast.errors import ConfigError, TuningError
 from sinecast.evaluation import improvement
 from sinecast.experiment import (
@@ -339,3 +341,41 @@ class TestTune:
         cfg = load_config(write_config(tmp_path, models=["Persistence"]))
         with pytest.raises(ConfigError, match="trainable"):
             tune(cfg, out_dir=tmp_path / "out")
+
+    def test_memory_budget_skips_attention_candidates(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            models=["SLP", "Sencoder"],
+            memory_budget_mb=0.05,
+            model_overrides={"d_model": 8, "n_heads": 2, "ffn_dim": 16},
+            tuning={"input_lens": [24, 48], "train_portions": [0.5, 1.0]},
+        )
+        outcome = tune(load_config(path), out_dir=tmp_path / "out")
+        sencoder = [r for r in outcome.rows if r["model"] == "Sencoder"]
+        assert len(sencoder) == 4
+        for r in sencoder:
+            assert r["status"] == "skipped"
+            assert r["reason"].startswith("intractable at this horizon")
+        assert "SLP@24" in outcome.best
+        assert not any(key.startswith("Sencoder@") for key in outcome.best)
+        assert main(["tune", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+
+    def test_candidate_failure_becomes_error_row(self, tmp_path, monkeypatch):
+        train_model = experiment.train_model
+
+        def flaky_train_model(model, *args, **kwargs):
+            if model.config.input_len == 48:
+                raise RuntimeError("boom")
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_model", flaky_train_model)
+        cfg = load_config(write_config(
+            tmp_path,
+            tuning={"input_lens": [24, 48], "train_portions": [1.0]},
+        ))
+        outcome = tune(cfg, out_dir=tmp_path / "out")
+        by_len = {r["input_len"]: r for r in outcome.rows}
+        assert by_len[48]["status"] == "error"
+        assert by_len[48]["reason"] == "RuntimeError: boom"
+        assert by_len[24]["status"] == "ok"
+        assert outcome.best["SLP@24"]["input_len"] == 24

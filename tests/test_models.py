@@ -400,3 +400,25 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="bogus"):
             load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        m = Forecaster(toy_config("Linear"))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        import json
+        payload = json.loads(path.read_text())
+        payload["config"]["depth"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="depth"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        m = Forecaster(toy_config("Linear"))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        import json
+        payload = json.loads(path.read_text())
+        payload["parameters"]["w"]["data"][3] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_checkpoint(path)
