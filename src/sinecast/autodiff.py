@@ -16,6 +16,9 @@ Anything else raises ShapeError so that model wiring bugs stay loud.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import GraphError, NumericError, ShapeError
@@ -28,7 +31,26 @@ __all__ = [
     "multi_head_attention",
     "backward",
     "grad_check",
+    "no_grad",
 ]
+
+# Per thread, because run_experiment may train cells on worker threads.
+_grad_mode = threading.local()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside: op outputs keep no parents and need no gradient.
+
+    For forward-only passes: each intermediate array is freed as soon as
+    the next op has used it, instead of living until the output is dropped.
+    """
+    before = getattr(_grad_mode, "off", False)
+    _grad_mode.off = True
+    try:
+        yield
+    finally:
+        _grad_mode.off = before
 
 
 class Tensor:
@@ -56,8 +78,8 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = tuple(parents)
+        out.requires_grad = not getattr(_grad_mode, "off", False) and any(p.requires_grad for p in parents)
+        out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward_fn if out.requires_grad else None
         out.op = op
         return out

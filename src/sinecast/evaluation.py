@@ -11,7 +11,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .data import WindowDataset
 from .errors import ConfigError, ShapeError
 from .models import Forecaster
@@ -70,7 +70,8 @@ def evaluate(
     for lo in range(0, n, batch_size):
         idx = np.arange(lo, min(lo + batch_size, n))
         xb, yb = test.gather(idx)
-        pred = model(Tensor(xb)).data
+        with no_grad():
+            pred = model(Tensor(xb)).data
         abs_sum += float(np.abs(pred - yb).sum())
         count += yb.size
     return EvalResult(

@@ -18,6 +18,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from . import __version__, synthetic
 from .data import (
@@ -147,6 +151,10 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
         if not 0.0 < self.train_portion <= 1.0:
             raise ConfigError(f"train_portion must lie in (0, 1], got {self.train_portion}")
+        if self.tuning_train_portions and not all(0.0 < p <= 1.0 for p in self.tuning_train_portions):
+            raise ConfigError(
+                f"tuning.train_portions must lie in (0, 1], got {list(self.tuning_train_portions)}"
+            )
         if min(self.batch_size, self.eval_batch_size, self.stride, self.eval_stride, self.workers) < 1:
             raise ConfigError("batch sizes, strides, and workers must be >= 1")
         if self.loss not in ("mae", "mse"):
@@ -302,8 +310,10 @@ def load_config(path) -> ExperimentConfig:
     if t_lens is not None:
         t_lens = _int_list(t_lens, "tuning.input_lens")
     if t_portions is not None:
-        if not isinstance(t_portions, list) or not t_portions:
-            raise ConfigError("config key 'tuning.train_portions' must be a non-empty list")
+        if not isinstance(t_portions, list) or not t_portions or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in t_portions
+        ):
+            raise ConfigError("config key 'tuning.train_portions' must be a non-empty list of numbers")
         t_portions = tuple(float(x) for x in t_portions)
 
     cfg = ExperimentConfig(
@@ -362,6 +372,18 @@ def config_hash(cfg: ExperimentConfig) -> str:
     d = {k: v for k, v in normalized_config(cfg).items() if k not in _UNHASHED_KEYS}
     canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _environment() -> dict:
+    """What results.csv is byte-identical under: the Python, numpy and BLAS
+    builds and the BLAS thread settings. Recorded in the manifest, not hashed."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
 
 
 # -- data loading -----------------------------------------------------------
@@ -485,8 +507,8 @@ def _over_budget(cfg: ExperimentConfig, variant: str, horizon: int, n_train: int
     if est <= cfg.memory_budget_mb * 2**20:
         return ""
     return (
-        f"intractable at this horizon: ~{est / 2**20:.0f} MB of attention "
-        f"buffers exceed the {cfg.memory_budget_mb:.0f} MB budget"
+        f"intractable at this horizon: ~{est / 2**20:.4g} MB of attention "
+        f"buffers exceed the {cfg.memory_budget_mb:.4g} MB budget"
     )
 
 
@@ -615,6 +637,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
         "experiment": cfg.name,
         "config_hash": config_hash(cfg),
         "config": normalized_config(cfg),
+        "environment": _environment(),
         "tool": f"sinecast {__version__}",
         "started_utc": started_wall,
         "finished_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -660,7 +683,8 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
     trained = [m for m in cfg.models if m != "Persistence"]
     if not trained:
         raise ConfigError("tuning needs at least one trainable model")
-    portions = cfg.tuning_train_portions or (0.5, 1.0)
+    # a portion that leaves too few rows fails here, before any candidate trains
+    tails = {p: tail_portion(train_t, p) for p in cfg.tuning_train_portions or (0.5, 1.0)}
     dataset = cfg.source.name
 
     rows: list[dict] = []
@@ -671,7 +695,7 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
             candidates: list[tuple[float, int, float, int]] = []
             skipped = False
             for input_len in lens:
-                for portion in portions:
+                for portion, tail in tails.items():
                     row = {
                         "dataset": dataset,
                         "model": model,
@@ -691,7 +715,6 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
                         row["reason"] = f"input_len {input_len} < horizon {horizon}"
                         continue
                     span = input_len + horizon
-                    tail = tail_portion(train_t, portion)
                     if tail.length < span or val_t.length < span:
                         row["status"] = "infeasible"
                         row["reason"] = (

@@ -14,6 +14,7 @@ from sinecast.autodiff import (
     layer_norm_rows,
     matmul,
     multi_head_attention,
+    no_grad,
 )
 from sinecast.errors import GraphError, NumericError, ShapeError
 
@@ -281,6 +282,61 @@ class TestGradients:
         ref = weakref.ref(mid)
         del mid, loss
         assert ref() is None
+
+
+class TestNoGrad:
+    def test_same_values_and_no_graph(self):
+        w = Parameter(np.random.default_rng(0).normal(size=(4, 3)), "w")
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 4)))
+        taped = matmul(x, w).sin()
+        with no_grad():
+            free = matmul(x, w).sin()
+        assert np.array_equal(free.data, taped.data)
+        assert not free.requires_grad and free._parents == () and free._backward is None
+        assert taped.requires_grad and taped._parents
+
+    def test_intermediates_freed_while_output_lives(self):
+        import weakref
+
+        w = Parameter(np.ones((4, 4)), "w")
+        with no_grad():
+            mid = matmul(Tensor(np.ones((4, 4))), w)
+            ref = weakref.ref(mid)
+            out = mid.sin()
+            del mid
+        assert ref() is None
+        assert out.data.shape == (4, 4)
+
+    def test_restored_after_exception_and_nesting(self):
+        w = Parameter(np.ones((2, 2)), "w")
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (w * 2.0).requires_grad
+                raise RuntimeError
+        assert (w * 2.0).requires_grad
+
+    def test_other_threads_keep_their_graph(self):
+        import threading
+
+        w = Parameter(np.ones((2, 2)), "w")
+        seen = []
+        inside, done = threading.Event(), threading.Event()
+
+        def worker():
+            inside.wait(timeout=10)
+            seen.append((w * 2.0).requires_grad)
+            done.set()
+
+        t = threading.Thread(target=worker)
+        t.start()
+        with no_grad():
+            inside.set()
+            assert done.wait(timeout=10)
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [True]
 
 
 def causal(m, n):

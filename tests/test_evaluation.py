@@ -73,6 +73,18 @@ class TestEvaluate:
         big = evaluate(model, ds, batch_size=10_000).mae
         assert abs(small - big) < 1e-12
 
+    def test_graph_free_forward_scores_like_the_taped_one(self):
+        table = TimeSeriesTable(name="r", values=np.random.default_rng(4).normal(size=(60, 1)))
+        ds = make_windows(table, input_len=8, horizon=8)
+        model = Forecaster(ModelConfig(variant="Sinformer", input_len=8, horizon=8, channels=1,
+                                       d_model=8, n_heads=2, ffn_dim=8, seed=3))
+        xb, yb = ds.gather(np.arange(len(ds)))
+        taped = model(Tensor(xb))
+        assert taped.requires_grad
+        expected = np.abs(taped.data - yb).sum() / yb.size
+        assert evaluate(model, ds, batch_size=len(ds)).mae == expected
+        assert model(Tensor(xb)).requires_grad
+
     def test_empty_test_rejected(self):
         table = self._periodic(20)
         ds = make_windows(table, input_len=16, horizon=8)

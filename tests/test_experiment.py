@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="multiple of n_heads"):
             load_config(write_config(tmp_path, model_overrides={"d_model": 10, "n_heads": 4}))
 
+    @pytest.mark.parametrize("portions", [[0.5, 0.0], [1.5], [-0.2, 1.0]])
+    def test_tuning_portion_outside_unit_interval_rejected(self, tmp_path, portions):
+        with pytest.raises(ConfigError, match=r"tuning.train_portions must lie in \(0, 1\]"):
+            load_config(write_config(tmp_path, tuning={"train_portions": portions}))
+
+    def test_tuning_portion_must_be_a_number(self, tmp_path):
+        with pytest.raises(ConfigError, match="tuning.train_portions"):
+            load_config(write_config(tmp_path, tuning={"train_portions": ["half"]}))
+
 
 class TestConfigHash:
     def test_key_order_does_not_matter(self, tmp_path):
@@ -192,6 +202,18 @@ class TestRunExperiment:
         assert outcome.results_path.exists()
         assert outcome.report_path.exists()
         assert json.loads(outcome.manifest_path.read_text())["config_hash"] == config_hash(cfg)
+
+    def test_manifest_records_environment_outside_the_hash(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        cfg = load_config(write_config(tmp_path, models=["Persistence"]))
+        manifest = json.loads(run_experiment(cfg, out_dir=tmp_path / "out").manifest_path.read_text())
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["num_threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert "environment" not in manifest["config"]
+        assert manifest["config_hash"] == config_hash(cfg)
 
     def test_persistence_always_uses_matching_input_len(self, tmp_path):
         cfg = load_config(write_config(tmp_path, input_len=48))
@@ -342,6 +364,15 @@ class TestTune:
         with pytest.raises(ConfigError, match="trainable"):
             tune(cfg, out_dir=tmp_path / "out")
 
+    def test_portion_too_small_fails_before_training(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path,
+            tuning={"input_lens": [24], "train_portions": [1.0, 0.001]},
+        ))
+        with pytest.raises(ConfigError, match="train_portion=0.001 leaves"):
+            tune(cfg, out_dir=tmp_path / "out")
+        assert list((tmp_path / "out" / "logs").iterdir()) == []
+
     def test_memory_budget_skips_attention_candidates(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -356,6 +387,7 @@ class TestTune:
         for r in sencoder:
             assert r["status"] == "skipped"
             assert r["reason"].startswith("intractable at this horizon")
+            assert "0.05 MB budget" in r["reason"]
         assert "SLP@24" in outcome.best
         assert not any(key.startswith("Sencoder@") for key in outcome.best)
         assert main(["tune", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0

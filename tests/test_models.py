@@ -1,6 +1,9 @@
 """Forecaster behavior: forward contracts, analytic examples, and
 finite-difference gradient checks for every trainable variant."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,11 @@ from sinecast.models import (
     persistence_forecast,
     save_checkpoint,
 )
+
+
+def encode_f64(values) -> str:
+    """A parameter's checkpoint encoding, written independently of models.py."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def toy_config(variant, input_len=8, horizon=8, channels=1, seed=0):
@@ -394,9 +402,8 @@ class TestCheckpoints:
         m = Forecaster(toy_config("Linear"))
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        import json
         payload = json.loads(path.read_text())
-        payload["parameters"]["bogus"] = {"shape": [1], "data": [0.0]}
+        payload["parameters"]["bogus"] = {"shape": [1], "float64_le": encode_f64([0.0])}
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="bogus"):
             load_checkpoint(path)
@@ -405,7 +412,6 @@ class TestCheckpoints:
         m = Forecaster(toy_config("Linear"))
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        import json
         payload = json.loads(path.read_text())
         payload["config"]["depth"] = 3
         path.write_text(json.dumps(payload))
@@ -416,9 +422,66 @@ class TestCheckpoints:
         m = Forecaster(toy_config("Linear"))
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        import json
         payload = json.loads(path.read_text())
-        payload["parameters"]["w"]["data"][3] = float("nan")
+        w = m.params["w"].data.copy()
+        w.flat[3] = float("nan")
+        payload["parameters"]["w"]["float64_le"] = encode_f64(w)
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
+        m = Forecaster(toy_config("Linear"))
+        values = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3]
+        w = m.params["w"].data
+        w.flat[: len(values)] = values
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        loaded = load_checkpoint(path).params["w"].data
+        assert loaded.tobytes() == w.tobytes()
+        assert np.signbit(loaded.flat[0])
+        assert loaded.flags.writeable and loaded.flags.c_contiguous
+
+    def test_size_is_about_eleven_bytes_per_parameter(self, tmp_path):
+        m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        assert path.stat().st_size <= 11 * m.n_parameters() + 4096
+
+    def _tampered(self, tmp_path, edit):
+        m = Forecaster(toy_config("Linear"))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        payload = json.loads(path.read_text())
+        edit(payload["parameters"]["w"], m.params["w"].data)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_invalid_base64_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda e, w: e.update(float64_le="not*base64"))
+        with pytest.raises(ConfigError, match="checkpoint w: invalid base64"):
+            load_checkpoint(path)
+
+    def test_wrong_byte_count_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda e, w: e.update(float64_le=encode_f64(w.flat[:-1])))
+        with pytest.raises(ConfigError, match="checkpoint w: 504 bytes vs expected 512"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda e, w: e.update(shape=[3, 5]))
+        with pytest.raises(ConfigError, match=r"checkpoint w: shape \[3, 5\] vs expected \[8, 8\]"):
+            load_checkpoint(path)
+
+    def test_missing_encoded_data_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda e, w: [e.clear(), e.update(shape=[8, 8])])
+        with pytest.raises(ConfigError, match="checkpoint w: missing key 'float64_le'"):
+            load_checkpoint(path)
+
+    def test_old_list_format_rejected(self, tmp_path):
+        def to_list_format(entry, w):
+            entry.pop("float64_le", None)
+            entry["data"] = w.reshape(-1).tolist()
+
+        path = self._tampered(tmp_path, to_list_format)
+        with pytest.raises(ConfigError, match="checkpoint w: old list-format.*sinecast run"):
             load_checkpoint(path)
