@@ -37,6 +37,10 @@ __all__ = [
 # Per thread, because run_experiment may train cells on worker threads.
 _grad_mode = threading.local()
 
+# Upper bound on one batch chunk's [c, m, n] attention score block: small
+# enough to stay in a core's L2 while the softmax passes run over it.
+_CHUNK_BYTES = 1 << 18
+
 
 @contextmanager
 def no_grad():
@@ -316,7 +320,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bw(g):
             _acc(a, g @ b.data.T)
-            _acc(b, np.einsum("nab,nac->bc", a.data, g))
+            _acc(b, a.data.reshape(-1, ashape[2]).T @ g.reshape(-1, bshape[1]))
 
     else:
         raise ShapeError(f"matmul: unsupported ranks {ashape} x {bshape}")
@@ -365,15 +369,20 @@ def multi_head_attention(
     axis of each, and writes the same slice of the [..., m, e] output. The
     optional mask is a constant additive [m, n] array.
 
-    Heads run one at a time, each on a single [..., m, n] buffer that the
-    softmax overwrites in place, so the graph keeps only the probabilities P
-    of each head. (A batched [..., H, m, n] score array was slower: at
-    L=192, B=32 each such temporary exceeds glibc's 32 MB mmap threshold and
-    is page-faulted in afresh.) Backward uses dS = P * (dP - rowsum(dP * P)) (the form
-    FlashAttention uses, Dao et al. 2022). The float operations, and their
-    order, are those of composing matmul, scale, mask add, max-shifted
+    The leading axes are flattened into one batch axis, which is walked in
+    chunks sized so that one chunk's [c, m, n] score block (at most
+    `_CHUNK_BYTES`) stays in cache while the softmax passes run over it in
+    place; the heads run one at a time within each chunk. For backward the
+    graph keeps only the probabilities P, one [batch, m, n] array per head
+    (separate arrays, not one [H, ...] array: at L=192, B=32 that exceeds
+    glibc's 32 MB mmap threshold and is page-faulted in afresh). When no
+    graph is recorded, no probabilities are kept and every chunk and head
+    reuses one chunk-sized block. Backward walks the same chunks and heads
+    and uses dS = P * (dP - rowsum(dP * P)) (the form FlashAttention uses,
+    Dao et al. 2022). Each batch element sees the same float operations, in
+    the same order, as composing matmul, scale, mask add, max-shifted
     softmax and matmul node by node, so the results equal that composition
-    bit for bit.
+    bit for bit, whatever the chunk size.
     """
     if n_heads < 1:
         raise ShapeError(f"multi_head_attention: n_heads={n_heads} must be >= 1")
@@ -390,41 +399,55 @@ def multi_head_attention(
             raise ShapeError(f"multi_head_attention: mask {mask.shape} vs scores {q.shape[-2]}x{k.shape[-2]}")
         if mask.requires_grad:
             raise GraphError("multi_head_attention: the mask must be a constant")
-    dh, eh = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    (m, d), (n, e) = q.shape[-2:], v.shape[-2:]
+    qf, kf, vf = q.data.reshape(-1, m, d), k.data.reshape(-1, n, d), v.data.reshape(-1, n, e)
+    batch = qf.shape[0]
+    c = max(1, _CHUNK_BYTES // (m * n * 8))
+    chunks = [slice(i, min(i + c, batch)) for i in range(0, batch, c)]
+    dh, eh = d // n_heads, e // n_heads
     scale = 1.0 / np.sqrt(dh)
     heads = [(slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)) for h in range(n_heads)]
 
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
-    probs = []
-    for qk, vs in heads:
-        p = q.data[..., qk] @ np.swapaxes(k.data[..., qk], -1, -2)
-        p *= scale
-        if mask is not None:
-            p += mask.data
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[..., vs] = p @ v.data[..., vs]
-        probs.append(p)
-    out = Tensor._from_op(out, (q, k, v), None, "multi_head_attention")
+    out_flat = np.empty((batch, m, e))
+    out = Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), None, "multi_head_attention")
+    if out.requires_grad:
+        probs = [np.empty((batch, m, n)) for _ in heads]
+    else:
+        block = np.empty((min(c, batch), m, n))
+    for sl in chunks:
+        for h, (qk, vs) in enumerate(heads):
+            p = probs[h][sl] if out.requires_grad else block[: sl.stop - sl.start]
+            np.matmul(qf[sl, :, qk], np.swapaxes(kf[sl, :, qk], -1, -2), out=p)
+            p *= scale
+            if mask is not None:
+                p += mask.data
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            out_flat[sl, :, vs] = p @ vf[sl, :, vs]
+    if not out.requires_grad:
+        return out
 
     def bw(g):
-        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for (qk, vs), p in zip(heads, probs):
-            g_h = g[..., vs]
-            gv[..., vs] = np.swapaxes(p, -1, -2) @ g_h
-            ds = g_h @ np.swapaxes(v.data[..., vs], -1, -2)
-            dot = (ds * p).sum(axis=-1, keepdims=True)
-            ds -= dot
-            ds *= p
-            ds *= scale
-            gq[..., qk] = ds @ k.data[..., qk]
-            gk[..., qk] = np.swapaxes(ds, -1, -2) @ q.data[..., qk]
-        _acc(q, gq)
-        _acc(k, gk)
-        _acc(v, gv)
+        gf = g.reshape(batch, m, e)
+        gq, gk, gv = np.empty(qf.shape), np.empty(kf.shape), np.empty(vf.shape)
+        for sl in chunks:
+            for (qk, vs), p_all in zip(heads, probs):
+                p = p_all[sl]
+                g_h = gf[sl, :, vs]
+                gv[sl, :, vs] = np.swapaxes(p, -1, -2) @ g_h
+                ds = g_h @ np.swapaxes(vf[sl, :, vs], -1, -2)
+                dot = (ds * p).sum(axis=-1, keepdims=True)
+                ds -= dot
+                ds *= p
+                ds *= scale
+                gq[sl, :, qk] = ds @ kf[sl, :, qk]
+                gk[sl, :, qk] = np.swapaxes(ds, -1, -2) @ qf[sl, :, qk]
+        _acc(q, gq.reshape(q.shape))
+        _acc(k, gk.reshape(k.shape))
+        _acc(v, gv.reshape(v.shape))
 
-    out._backward = bw if out.requires_grad else None
+    out._backward = bw
     return out
 
 

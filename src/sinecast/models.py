@@ -508,9 +508,22 @@ def _decode_parameter(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_checkpoint(path) -> Forecaster:
-    """Rebuild a saved model; unknown config keys, malformed parameter
-    entries and non-finite values are rejected with a ConfigError."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Rebuild a saved model; a file that is not a checkpoint object,
+    unknown config keys, malformed parameter entries and non-finite values
+    are rejected with a ConfigError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"checkpoint {path}: not a JSON file: {exc}") from exc
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("config"), dict)
+        and isinstance(payload.get("parameters"), dict)
+    ):
+        raise ConfigError(f"checkpoint {path}: expected a JSON object with 'config' and 'parameters' objects")
+    wrong_type = [k for k, v in payload["config"].items() if type(v) is not (str if k == "variant" else int)]
+    if wrong_type:
+        raise ConfigError(f"checkpoint {path}: config {sorted(wrong_type)} must be integers (variant a string)")
     try:
         config = ModelConfig(**payload["config"])
     except TypeError as exc:

@@ -162,6 +162,7 @@ def test_criterion_4_daily_temperature_reproduction(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_trained_models_beat_drifting_persistence(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
@@ -239,6 +240,7 @@ def test_criterion_7_improvement_formula_and_aggregation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_extreme_horizons_train_or_skip(tmp_path):
     t0 = time.time()
     source = DatasetSource(name="tidal", synthetic={"kind": "tidal", "n": 50000, "seed": 11})

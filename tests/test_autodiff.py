@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinecast import autodiff
 from sinecast.autodiff import (
     Parameter,
     Tensor,
@@ -202,6 +203,18 @@ class TestGradients:
         b = Parameter(rng.normal(size=(4, 2)), "b")
         self._check(lambda: matmul(a, b).abs().mean(), [a, b])
 
+    @pytest.mark.parametrize("d_in", [1, 4])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matmul_3d_shared_rhs_weight_grad_matches_einsum(self, d_in, transposed):
+        rng = np.random.default_rng(23)
+        a_np = rng.normal(size=(5, d_in, 3)).transpose(0, 2, 1) if transposed else rng.normal(size=(5, 3, d_in))
+        a = Tensor(a_np)
+        b = Parameter(rng.normal(size=(d_in, 2)), "b")
+        g = rng.normal(size=(5, 3, 2))
+        backward((matmul(a, b) * Tensor(g)).sum())
+        expected = np.einsum("nab,nac->bc", a_np, g)
+        assert np.abs(b.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_matmul_3d_batched(self):
         rng = np.random.default_rng(22)
         a = Parameter(rng.normal(size=(3, 2, 4)), "a")
@@ -373,6 +386,31 @@ class TestMultiHeadAttention:
             Tensor(q), Tensor(k), Tensor(v), n_heads, None if mask is None else Tensor(mask)
         ).data
         assert np.abs(got - reference_attention(q, k, v, n_heads, mask)).max() < 1e-12
+
+    @staticmethod
+    def _taped(q, k, v, g, n_heads, mask):
+        qt, kt, vt = Parameter(q, "q"), Parameter(k, "k"), Parameter(v, "v")
+        out = multi_head_attention(qt, kt, vt, n_heads, mask)
+        backward((out * Tensor(g)).sum())
+        return [out.data, qt.grad, kt.grad, vt.grad]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("lead, m, n", [((7,), 4, 4), ((7,), 3, 6), ((), 5, 5), ((2, 3), 4, 6)])
+    def test_batch_chunks_match_one_chunk_exactly(self, monkeypatch, lead, m, n, masked):
+        rng = np.random.default_rng(42)
+        q, k = rng.normal(size=lead + (m, 8)), rng.normal(size=lead + (n, 8))
+        v, g = rng.normal(size=lead + (n, 4)), rng.normal(size=lead + (m, 4))
+        mask = Tensor(causal(m, n)) if masked else None
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 1 << 40)
+        whole = self._taped(q, k, v, g, 2, mask)
+        # three [m, n] float64 blocks per chunk: a batch of 7 runs as 3 + 3 + 1
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 3 * m * n * 8)
+        chunked = self._taped(q, k, v, g, 2, mask)
+        with no_grad():
+            free = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+        assert np.array_equal(free, whole[0])
 
     def test_shape_errors(self):
         z = Tensor(np.zeros((2, 3, 4)))

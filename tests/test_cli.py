@@ -166,3 +166,12 @@ class TestPlot:
                         "--model", "MLP", "--out", str(tmp_path / "x.svg")])
         assert code == 2
         assert "holds SLP" in capsys.readouterr().err
+
+    def test_garbage_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "garbage.json"
+        ckpt.write_bytes(b"\x00\xffnot a checkpoint")
+        code = run_cli(["plot", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "g.svg")])
+        assert code == 2
+        assert f"error: checkpoint {ckpt}" in capsys.readouterr().err

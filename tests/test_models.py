@@ -3,6 +3,7 @@ finite-difference gradient checks for every trainable variant."""
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -448,14 +449,17 @@ class TestCheckpoints:
         save_checkpoint(m, path)
         assert path.stat().st_size <= 11 * m.n_parameters() + 4096
 
-    def _tampered(self, tmp_path, edit):
+    def _rewritten(self, tmp_path, edit):
         m = Forecaster(toy_config("Linear"))
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
         payload = json.loads(path.read_text())
-        edit(payload["parameters"]["w"], m.params["w"].data)
+        edit(payload, m)
         path.write_text(json.dumps(payload))
         return path
+
+    def _tampered(self, tmp_path, edit):
+        return self._rewritten(tmp_path, lambda payload, m: edit(payload["parameters"]["w"], m.params["w"].data))
 
     def test_invalid_base64_rejected(self, tmp_path):
         path = self._tampered(tmp_path, lambda e, w: e.update(float64_le="not*base64"))
@@ -484,4 +488,26 @@ class TestCheckpoints:
 
         path = self._tampered(tmp_path, to_list_format)
         with pytest.raises(ConfigError, match="checkpoint w: old list-format.*sinecast run"):
+            load_checkpoint(path)
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("not json {")
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: p.pop("config"), lambda p: p.pop("parameters"), lambda p: p.update(parameters=5)],
+        ids=["no-config", "no-parameters", "numeric-parameters"],
+    )
+    def test_payload_not_a_checkpoint_object_rejected(self, tmp_path, edit):
+        path = self._rewritten(tmp_path, lambda payload, m: edit(payload))
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: expected a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("horizon", 8.0), ("input_len", True)])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        path = self._rewritten(tmp_path, lambda payload, m: payload["config"].update({key: value}))
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: config \\['{key}'\\]"):
             load_checkpoint(path)
