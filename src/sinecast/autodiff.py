@@ -271,9 +271,6 @@ class Tensor:
         out._backward = bw if out.requires_grad else None
         return out
 
-    def backward(self) -> None:
-        backward(self)
-
 
 class Parameter(Tensor):
     """Trainable leaf tensor with a stable name inside one model."""

@@ -24,7 +24,6 @@ __all__ = [
     "split",
     "fit_standardizer",
     "apply_standardizer",
-    "invert_standardizer",
     "make_windows",
     "batches",
 ]
@@ -205,30 +204,15 @@ def apply_standardizer(table: TimeSeriesTable, stats: StandardizationStats) -> T
     )
 
 
-def invert_standardizer(table: TimeSeriesTable, stats: StandardizationStats) -> TimeSeriesTable:
-    if stats.mean.shape[0] != table.n_channels:
-        raise StandardizeError(
-            f"{table.name}: stats fitted for {stats.mean.shape[0]} channels, table has {table.n_channels}"
-        )
-    return TimeSeriesTable(
-        name=table.name,
-        values=table.values * stats.std + stats.mean,
-        columns=table.columns,
-        timestamps=table.timestamps,
-        frequency_label=table.frequency_label,
-    )
-
-
 @dataclass(frozen=True)
 class WindowDataset:
     """Sliding-window supervised pairs over one split segment.
 
     Window k reads input rows [k*stride, k*stride + I) and target rows
     [k*stride + I, k*stride + I + L). Pairs are stored as offsets into the
-    segment and materialized on demand: `inputs`/`targets` build the full
-    [N, I, C] / [N, L, C] arrays (fine for tests and small data), while
-    `gather` copies out only the requested windows, which is what batching
-    uses so that long-horizon runs never hold every window at once.
+    segment and materialized on demand: `gather` copies out only the
+    requested windows, so that long-horizon runs never hold every window at
+    once.
     """
 
     base: np.ndarray
@@ -264,14 +248,6 @@ class WindowDataset:
             xs[row] = self.base[s:s + i]
             ys[row] = self.base[s + i:s + i + l]
         return xs, ys
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return self.gather(np.arange(len(self)))[0]
-
-    @property
-    def targets(self) -> np.ndarray:
-        return self.gather(np.arange(len(self)))[1]
 
 
 def make_windows(table: TimeSeriesTable, input_len: int, horizon: int, stride: int = 1) -> WindowDataset:

@@ -33,7 +33,6 @@ class EvalResult:
     input_len: int
     mae: float
     n_windows: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.mae < 0:
@@ -59,7 +58,6 @@ def evaluate(
     test: WindowDataset,
     dataset_name: str = "",
     batch_size: int = 256,
-    seed: int = 0,
 ) -> EvalResult:
     """MAE of the frozen model over every test window, computed in batches."""
     n = len(test)
@@ -81,7 +79,6 @@ def evaluate(
         input_len=model.config.input_len,
         mae=abs_sum / count,
         n_windows=n,
-        seed=seed,
     )
 
 

@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
         if self.ma_kernel < 3 or self.ma_kernel % 2 == 0:
             raise ConfigError(f"ma_kernel must be odd and >= 3, got {self.ma_kernel}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

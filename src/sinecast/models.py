@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Parameter, Tensor, layer_norm_rows, matmul, multi_head_attention
 from .errors import ConfigError, ShapeError
@@ -83,6 +84,8 @@ class ModelConfig:
             raise ConfigError(f"ffn_dim={self.ffn_dim} must be >= 1")
         if self.ma_kernel < 3 or self.ma_kernel % 2 == 0:
             raise ConfigError(f"ma_kernel={self.ma_kernel} must be odd and >= 3")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass
@@ -155,26 +158,13 @@ def _unfold_channels(y: Tensor, batch: int, channels: int) -> Tensor:
     return y.reshape(batch, channels, horizon).transpose((0, 2, 1))
 
 
-def smoothing_matrix(length: int, kernel: int) -> np.ndarray:
-    """M such that M @ x is the centered moving average with edge replication."""
+def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Centered moving average of `kernel` steps over the last axis, edges replicated."""
     if kernel % 2 == 0 or kernel < 3:
         raise ConfigError(f"moving-average kernel must be odd and >= 3, got {kernel}")
-    half = kernel // 2
-    m = np.zeros((length, length))
-    for i in range(length):
-        for t in range(-half, half + 1):
-            j = min(max(i + t, 0), length - 1)
-            m[i, j] += 1.0 / kernel
-    return m
-
-
-def moving_average(x: Tensor, kernel: int) -> Tensor:
-    """Centered moving average over the last axis, edges replicated."""
-    n = x.shape[-1]
-    m = Tensor(smoothing_matrix(n, kernel))
-    if x.ndim == 1:
-        return matmul(x.reshape(1, n), m.transpose()).reshape(n)
-    return matmul(x, m.transpose())
+    pad = [(0, 0)] * (x.ndim - 1) + [(kernel // 2, kernel // 2)]
+    padded = np.pad(x, pad, mode="edge")
+    return sliding_window_view(padded, kernel, axis=-1).mean(axis=-1)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None, n_heads: int = 1) -> Tensor:
@@ -338,7 +328,6 @@ class Forecaster:
         self.w_trend = self._weight("w_trend", l, i)
         self.w_seasonal = self._weight("w_seasonal", l, i)
         self.b = self._bias("b", l)
-        self._smooth = Tensor(smoothing_matrix(i, self.config.ma_kernel))
 
     def _build_slp(self):
         l = self.config.horizon
@@ -421,9 +410,9 @@ def linear_family_forward(model: Forecaster, x: Tensor) -> Tensor:
         out = dense(Tensor(xc.data - last), model.w, model.b)
         out = out + Tensor(np.broadcast_to(last, out.shape))
     elif variant == "DLinear":
-        trend = matmul(xc, model._smooth.transpose())
-        seasonal = xc - trend
-        out = dense(trend, model.w_trend) + dense(seasonal, model.w_seasonal) + model.b
+        # the input never requires grad, so trend and seasonal part are constants
+        trend = moving_average(xc.data, model.config.ma_kernel)
+        out = dense(Tensor(trend), model.w_trend) + dense(Tensor(xc.data - trend), model.w_seasonal) + model.b
     else:
         raise ConfigError(f"{variant} is not a linear-family variant")
     return _unfold_channels(out, b, c)
@@ -472,12 +461,14 @@ def save_checkpoint(model: Forecaster, path) -> None:
         "parameters": {
             name: {
                 "shape": list(p.shape),
-                "float64_le": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii"),
+                "float64_le": base64.b64encode(p.data.astype("<f8", copy=False).tobytes()).decode("ascii"),
             }
             for name, p in model.params.items()
         },
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    # json.dump streams into the file: no whole-file string or bytes copy
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def _decode_parameter(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
@@ -526,8 +517,8 @@ def load_checkpoint(path) -> Forecaster:
         raise ConfigError(f"checkpoint {path}: config {sorted(wrong_type)} must be integers (variant a string)")
     try:
         config = ModelConfig(**payload["config"])
-    except TypeError as exc:
-        raise ConfigError(f"checkpoint config: {exc}") from exc
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(f"checkpoint {path}: config: {exc}") from exc
     model = Forecaster(config)
     saved = payload["parameters"]
     if set(saved) != set(model.params):

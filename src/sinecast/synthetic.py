@@ -7,8 +7,6 @@ are bitwise identical, which keeps persistence-style exactness checks sharp.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .data import TimeSeriesTable
@@ -18,7 +16,6 @@ __all__ = [
     "multi_sine_with_trend",
     "tidal_series",
     "as_table",
-    "write_series_csv",
 ]
 
 
@@ -75,12 +72,3 @@ def tidal_series(
 
 def as_table(values: np.ndarray, name: str = "synthetic") -> TimeSeriesTable:
     return TimeSeriesTable(name=name, values=np.asarray(values, dtype=np.float64).reshape(-1, 1))
-
-
-def write_series_csv(path, values: np.ndarray, column: str = "value") -> Path:
-    """Write a univariate series as CSV; repr formatting round-trips floats exactly."""
-    p = Path(path)
-    lines = [column]
-    lines.extend(repr(float(v)) for v in np.asarray(values).ravel())
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return p

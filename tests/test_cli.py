@@ -77,6 +77,13 @@ class TestRun:
         text = (tmp_path / "out" / "results.csv").read_text()
         assert ",7,ok," in text
 
+    def test_negative_seed_flag_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = run_cli(["run", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_env_var_picks_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SINECAST_OUT", str(tmp_path / "envout"))
         assert run_cli(["run", "--config", str(write_config(tmp_path))]) == 0

@@ -18,7 +18,12 @@ from sinecast.experiment import (
     tail_portion,
     tune,
 )
-from sinecast.synthetic import as_table, sine_series, write_series_csv
+from sinecast.synthetic import as_table, sine_series
+
+
+def write_series_csv(path, values):
+    """A one-column CSV; repr formatting round-trips floats exactly."""
+    path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -101,6 +106,10 @@ class TestLoadConfig:
     def test_even_kernel_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ma_kernel"):
             load_config(write_config(tmp_path, model_overrides={"ma_kernel": 4}))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, seed=-1))
 
     def test_heads_must_divide_d_model(self, tmp_path):
         with pytest.raises(ConfigError, match="multiple of n_heads"):

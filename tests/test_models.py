@@ -31,6 +31,12 @@ def encode_f64(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def brute_force_moving_average(row, kernel):
+    """Mean of each `kernel`-step window centered on each step, indices clamped to the row."""
+    n, half = len(row), kernel // 2
+    return np.array([np.mean([row[min(max(i + t, 0), n - 1)] for t in range(-half, half + 1)]) for i in range(n)])
+
+
 def toy_config(variant, input_len=8, horizon=8, channels=1, seed=0):
     return ModelConfig(
         variant=variant,
@@ -185,13 +191,18 @@ class TestLinearFamily:
         out = m(Tensor(const)).data
         assert np.abs(out).max() < 1e-12
 
-    def test_dlinear_decomposition_is_additive(self):
-        cfg = toy_config("DLinear", input_len=20, horizon=3)
+    @pytest.mark.parametrize("input_len, kernel", [(20, 3), (9, 5), (6, 25), (30, 25)])
+    def test_dlinear_forward_is_trend_head_plus_seasonal_head(self, input_len, kernel):
+        cfg = ModelConfig(variant="DLinear", input_len=input_len, horizon=4, channels=2,
+                          ma_kernel=kernel, seed=10)
         m = Forecaster(cfg)
-        x = np.random.default_rng(10).normal(size=(4, 20))
-        trend = x @ m._smooth.data.T
-        seasonal = x - trend
-        assert np.abs((trend + seasonal) - x).max() < 1e-12
+        m.b.data[:] = np.random.default_rng(9).normal(size=4)
+        x = np.random.default_rng(10).normal(size=(3, input_len, 2))
+        rows = x.transpose(0, 2, 1).reshape(6, input_len)
+        trend = np.stack([brute_force_moving_average(r, kernel) for r in rows])
+        expected = trend @ m.w_trend.data.T + (rows - trend) @ m.w_seasonal.data.T + m.b.data
+        out = m(Tensor(x)).data.transpose(0, 2, 1).reshape(6, 4)
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_linear_is_plain_affine(self):
         m = Forecaster(toy_config("Linear", input_len=7, horizon=4, seed=3))
@@ -203,25 +214,29 @@ class TestLinearFamily:
 
 class TestMovingAverage:
     def test_constant_series_unchanged(self):
-        x = Tensor(np.full(11, 3.5))
-        assert np.abs(moving_average(x, 5).data - 3.5).max() < 1e-12
+        assert np.abs(moving_average(np.full(11, 3.5), 5) - 3.5).max() < 1e-12
 
     def test_spike_example(self):
-        got = moving_average(Tensor(np.array([0.0, 0.0, 3.0, 0.0, 0.0])), 3).data
+        got = moving_average(np.array([0.0, 0.0, 3.0, 0.0, 0.0]), 3)
         assert np.abs(got - np.array([0.0, 1.0, 1.0, 1.0, 0.0])).max() < 1e-12
 
-    def test_matches_brute_force_with_edge_replication(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=17)
-        k = 5
-        padded = np.concatenate([np.full(k // 2, x[0]), x, np.full(k // 2, x[-1])])
-        expected = np.array([padded[i:i + k].mean() for i in range(17)])
-        got = moving_average(Tensor(x), k).data
+    # (batch shape, length, kernel): lengths below kernel // 2 pad with
+    # more copies of an edge value than the series has steps
+    @pytest.mark.parametrize("batch, length, kernel", [
+        ((), 17, 5), ((), 1, 3), ((), 5, 25), ((), 30, 25), ((4,), 6, 25), ((3,), 40, 7), ((2, 3), 11, 5),
+    ], ids=["17-k5", "1-k3", "5-k25", "30-k25", "4x6-k25", "3x40-k7", "2x3x11-k5"])
+    def test_matches_brute_force_with_edge_replication(self, batch, length, kernel):
+        x = np.random.default_rng(12).normal(size=batch + (length,))
+        rows = x.reshape(-1, length)
+        expected = np.stack([brute_force_moving_average(r, kernel) for r in rows]).reshape(x.shape)
+        got = moving_average(x, kernel)
+        assert got.shape == x.shape
         assert np.abs(got - expected).max() < 1e-12
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            moving_average(Tensor(np.zeros(5)), 4)
+        for kernel in (4, 1):
+            with pytest.raises(ConfigError):
+                moving_average(np.zeros(5), kernel)
 
 
 class TestAttention:
@@ -417,6 +432,15 @@ class TestCheckpoints:
         payload["config"]["depth"] = 3
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match="depth"):
+            load_checkpoint(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(Forecaster(toy_config("Linear")), path)
+        payload = json.loads(path.read_text())
+        payload["config"]["seed"] = -1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=r"model\.json: config: seed=-1"):
             load_checkpoint(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
