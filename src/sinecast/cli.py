@@ -29,7 +29,7 @@ from .experiment import (
     run_experiment,
     tune,
 )
-from .models import Forecaster, ModelConfig, load_checkpoint
+from .models import Forecaster, load_checkpoint
 from .plotting import emit_forecast_plot
 from .reporting import read_results_csv, write_report
 
@@ -134,15 +134,7 @@ def _cmd_plot(args) -> int:
     elif args.model == "Persistence":
         if args.horizon is None:
             raise SinecastError("plot needs --horizon when no checkpoint is given")
-        model = Forecaster(
-            ModelConfig(
-                variant="Persistence",
-                input_len=args.horizon,
-                horizon=args.horizon,
-                channels=test_t.n_channels,
-                seed=cfg.seed,
-            )
-        )
+        model = Forecaster(cfg.model_config("Persistence", args.horizon, args.horizon, test_t.n_channels))
     else:
         raise SinecastError(
             "plot needs --checkpoint for trained models; only --model Persistence works without one"

@@ -147,28 +147,46 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model {m!r}; choose from {VARIANTS}")
         if self.input_len is not None and self.input_len < 1:
             raise ConfigError(f"input_len must be >= 1 or null, got {self.input_len}")
-        if self.epochs < 2:
-            raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
+        # ModelConfig, LrSchedule and TrainConfig check the settings they take
+        self.model_config(self.models[0], self.horizons[0], self.input_len or self.horizons[0], 1)
+        self.train_config(self.models[0])
         if not 0.0 < self.train_portion <= 1.0:
             raise ConfigError(f"train_portion must lie in (0, 1], got {self.train_portion}")
         if self.tuning_train_portions and not all(0.0 < p <= 1.0 for p in self.tuning_train_portions):
             raise ConfigError(
                 f"tuning.train_portions must lie in (0, 1], got {list(self.tuning_train_portions)}"
             )
-        if min(self.batch_size, self.eval_batch_size, self.stride, self.eval_stride, self.workers) < 1:
-            raise ConfigError("batch sizes, strides, and workers must be >= 1")
-        if self.loss not in ("mae", "mse"):
-            raise ConfigError(f"loss must be 'mae' or 'mse', got {self.loss!r}")
+        if min(self.eval_batch_size, self.stride, self.eval_stride, self.workers) < 1:
+            raise ConfigError("eval_batch_size, strides, and workers must be >= 1")
         if self.memory_budget_mb <= 0:
             raise ConfigError(f"memory_budget_mb must be positive, got {self.memory_budget_mb}")
-        if self.d_model < 1 or self.n_heads < 1 or self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model={self.d_model} must be a positive multiple of n_heads={self.n_heads}")
-        if self.ffn_dim < 1:
-            raise ConfigError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
-        if self.ma_kernel < 3 or self.ma_kernel % 2 == 0:
-            raise ConfigError(f"ma_kernel must be odd and >= 3, got {self.ma_kernel}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def model_config(self, variant: str, horizon: int, input_len: int, channels: int) -> ModelConfig:
+        return ModelConfig(
+            variant=variant,
+            input_len=input_len,
+            horizon=horizon,
+            channels=channels,
+            d_model=self.d_model,
+            n_heads=self.n_heads,
+            ffn_dim=self.ffn_dim,
+            ma_kernel=self.ma_kernel,
+            seed=self.seed,
+        )
+
+    def train_config(self, variant: str) -> TrainConfig:
+        eval_batch = self.eval_batch_size
+        if variant in ATTENTION_MODELS:
+            # Batched evaluation is exact, so capping the eval batch only
+            # bounds memory, never changes the score.
+            eval_batch = min(eval_batch, self.batch_size)
+        return TrainConfig(
+            schedule=LrSchedule(self.lr_start, self.lr_end, self.epochs),
+            batch_size=self.batch_size,
+            seed=self.seed,
+            loss=self.loss,
+            eval_batch_size=eval_batch,
+        )
 
 
 @dataclass
@@ -229,6 +247,10 @@ def _take(raw: dict, key: str, kinds, default, required: bool = False):
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _int_list(value, key: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"config key {key!r} must be a non-empty list")
@@ -262,10 +284,22 @@ def _parse_source(raw, config_dir: Path, fallback_name: str) -> DatasetSource:
             raise ConfigError(f"synthetic kind must be one of {sorted(_SYNTHETIC_KINDS)}, got {kind!r}")
         if not isinstance(synth.get("n"), int) or synth["n"] < 2:
             raise ConfigError("synthetic dataset needs an integer sample count 'n' >= 2")
+        for key in sorted(_TUPLE_ARGS.intersection(synth)):
+            if not isinstance(synth[key], list) or not all(_is_number(v) for v in synth[key]):
+                raise ConfigError(f"synthetic {key!r} must be a list of numbers, got {synth[key]!r}")
         if name is None:
             name = kind
     return DatasetSource(name=name or fallback_name, path=path, timestamp_column=ts,
                          frequency=freq, synthetic=synth)
+
+
+# load_config parses these fields itself; every other field of
+# ExperimentConfig is one config key, or one key of "model_overrides", whose
+# default and JSON type are the field's own.
+_STRUCTURED_FIELDS = ("name", "source", "split", "horizons", "models",
+                      "tuning_input_lens", "tuning_train_portions")
+_OVERRIDE_FIELDS = ("d_model", "n_heads", "ffn_dim", "ma_kernel")
+_JSON_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -284,8 +318,8 @@ def load_config(path) -> ExperimentConfig:
     source = _parse_source(raw.pop("dataset", None) or {}, p.parent, fallback_name=name)
 
     split_raw = raw.pop("split", None)
-    if (not isinstance(split_raw, list)) or len(split_raw) != 3:
-        raise ConfigError("config key 'split' must be a list of three fractions")
+    if not isinstance(split_raw, list) or len(split_raw) != 3 or not all(map(_is_number, split_raw)):
+        raise ConfigError(f"config key 'split' must be a list of three fractions, got {split_raw!r}")
     spec = SplitSpec(*(float(f) for f in split_raw))
 
     horizons = _int_list(raw.pop("horizons", None), "horizons")
@@ -294,17 +328,17 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config key 'models' must be a list of model names")
     models = tuple(dict.fromkeys(models_raw))
 
-    overrides = _take(raw, "model_overrides", dict, {})
-    overrides = dict(overrides)
-    d_model = _take(overrides, "d_model", int, 32)
-    n_heads = _take(overrides, "n_heads", int, 4)
-    ffn_dim = _take(overrides, "ffn_dim", int, 64)
-    ma_kernel = _take(overrides, "ma_kernel", int, 25)
+    overrides = dict(_take(raw, "model_overrides", dict, {}))
+    settings = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in _STRUCTURED_FIELDS:
+            kind = _JSON_TYPES[f.type.removesuffix(" | None")]
+            settings[f.name] = _take(overrides if f.name in _OVERRIDE_FIELDS else raw,
+                                     f.name, kind, f.default)
     if overrides:
         raise ConfigError(f"unknown model_overrides key(s): {sorted(overrides)}")
 
-    tuning = _take(raw, "tuning", dict, {})
-    tuning = dict(tuning)
+    tuning = dict(_take(raw, "tuning", dict, {}))
     t_lens = tuning.pop("input_lens", None)
     t_portions = tuning.pop("train_portions", None)
     if tuning:
@@ -312,57 +346,28 @@ def load_config(path) -> ExperimentConfig:
     if t_lens is not None:
         t_lens = _int_list(t_lens, "tuning.input_lens")
     if t_portions is not None:
-        if not isinstance(t_portions, list) or not t_portions or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in t_portions
-        ):
+        if not isinstance(t_portions, list) or not t_portions or not all(map(_is_number, t_portions)):
             raise ConfigError("config key 'tuning.train_portions' must be a non-empty list of numbers")
         t_portions = tuple(float(x) for x in t_portions)
+    if raw:
+        raise ConfigError(f"unknown config key(s): {sorted(raw)}")
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         name=name,
         source=source,
         split=spec,
         horizons=horizons,
         models=models,
-        input_len=_take(raw, "input_len", int, None),
-        epochs=_take(raw, "epochs", int, 50),
-        lr_start=_take(raw, "lr_start", float, 1e-3),
-        lr_end=_take(raw, "lr_end", float, 1e-6),
-        batch_size=_take(raw, "batch_size", int, 32),
-        eval_batch_size=_take(raw, "eval_batch_size", int, 256),
-        seed=_take(raw, "seed", int, 0),
-        stride=_take(raw, "stride", int, 1),
-        eval_stride=_take(raw, "eval_stride", int, 1),
-        train_portion=_take(raw, "train_portion", float, 1.0),
-        standardize=_take(raw, "standardize", bool, True),
-        loss=_take(raw, "loss", str, "mae"),
-        memory_budget_mb=_take(raw, "memory_budget_mb", float, 2048.0),
-        d_model=d_model,
-        n_heads=n_heads,
-        ffn_dim=ffn_dim,
-        ma_kernel=ma_kernel,
-        save_checkpoints=_take(raw, "save_checkpoints", bool, False),
-        workers=_take(raw, "workers", int, 1),
-        out_dir=_take(raw, "out_dir", str, None),
         tuning_input_lens=t_lens,
         tuning_train_portions=t_portions,
+        **settings,
     )
-    if raw:
-        raise ConfigError(f"unknown config key(s): {sorted(raw)}")
-    return cfg
 
 
 def normalized_config(cfg: ExperimentConfig) -> dict:
     """JSON-ready view of a config with every default filled in."""
     d = dataclasses.asdict(cfg)
     d["split"] = [cfg.split.train_frac, cfg.split.val_frac, cfg.split.test_frac]
-    d["horizons"] = list(cfg.horizons)
-    d["models"] = list(cfg.models)
-    d["source"] = dataclasses.asdict(cfg.source)
-    d["tuning_input_lens"] = list(cfg.tuning_input_lens) if cfg.tuning_input_lens else None
-    d["tuning_train_portions"] = (
-        list(cfg.tuning_train_portions) if cfg.tuning_train_portions else None
-    )
     return d
 
 
@@ -482,29 +487,6 @@ def _resolve_out_dir(cfg: ExperimentConfig, out_dir) -> Path:
     return p
 
 
-def _model_config(cfg: ExperimentConfig, variant: str, horizon: int, input_len: int,
-                  channels: int) -> ModelConfig:
-    return ModelConfig(
-        variant=variant,
-        input_len=input_len,
-        horizon=horizon,
-        channels=channels,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        ffn_dim=cfg.ffn_dim,
-        ma_kernel=cfg.ma_kernel,
-        seed=cfg.seed,
-    )
-
-
-def _eval_batch(cfg: ExperimentConfig, variant: str) -> int:
-    if variant in ATTENTION_MODELS:
-        # Batched evaluation is exact, so capping the eval batch only
-        # bounds memory, never changes the score.
-        return min(cfg.eval_batch_size, cfg.batch_size)
-    return cfg.eval_batch_size
-
-
 def _over_budget(cfg: ExperimentConfig, variant: str, horizon: int, n_train: int) -> str:
     """The skip reason when the attention buffers exceed the budget, else ""."""
     batch = min(cfg.batch_size, n_train) if n_train else cfg.batch_size
@@ -534,16 +516,9 @@ def _fit(
     log_path: Path,
 ) -> tuple[Forecaster, TrainReport]:
     """Build a model and train it; it comes back with its best validation epoch restored."""
-    model = Forecaster(_model_config(cfg, variant, horizon, input_len, val_t.n_channels))
-    tcfg = TrainConfig(
-        schedule=LrSchedule(cfg.lr_start, cfg.lr_end, cfg.epochs),
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        loss=cfg.loss,
-        eval_batch_size=_eval_batch(cfg, variant),
-    )
+    model = Forecaster(cfg.model_config(variant, horizon, input_len, val_t.n_channels))
     val_ds = make_windows(val_t, input_len, horizon, cfg.eval_stride)
-    return model, train_model(model, train_ds, val_ds, tcfg, log_path=log_path)
+    return model, train_model(model, train_ds, val_ds, cfg.train_config(variant), log_path=log_path)
 
 
 def _run_cell(
@@ -571,7 +546,7 @@ def _run_cell(
     try:
         best_epoch = None
         if variant == "Persistence":
-            model = Forecaster(_model_config(cfg, variant, horizon, input_len, test_t.n_channels))
+            model = Forecaster(cfg.model_config(variant, horizon, input_len, test_t.n_channels))
         else:
             train_ds = make_windows(train_t, input_len, horizon, cfg.stride)
             skip = _over_budget(cfg, variant, horizon, len(train_ds))
@@ -583,7 +558,7 @@ def _run_cell(
             best_epoch = report.best_epoch
         test_ds = make_windows(test_t, input_len, horizon, cfg.eval_stride)
         result = evaluate(model, test_ds, dataset_name=test_t.name,
-                          batch_size=_eval_batch(cfg, variant))
+                          batch_size=cfg.train_config(variant).eval_batch_size)
         if cfg.save_checkpoints and variant != "Persistence":
             save_checkpoint(model, out / "checkpoints" / f"{stem}.json")
         record.mae, record.n_windows, record.best_epoch = result.mae, result.n_windows, best_epoch

@@ -84,7 +84,13 @@ def read_results_csv(path) -> list[dict]:
         for line_no, record in enumerate(reader, start=2):
             if len(record) != len(RESULT_FIELDS):
                 raise DataError(f"{path}: line {line_no} has {len(record)} fields")
-            rows.append({f: _coerce(f, v) for f, v in zip(RESULT_FIELDS, record)})
+            row = {}
+            for f, v in zip(RESULT_FIELDS, record):
+                try:
+                    row[f] = _coerce(f, v)
+                except ValueError:
+                    raise DataError(f"{path}: line {line_no}, field {f!r}: cannot parse {v!r}") from None
+            rows.append(row)
     return rows
 
 

@@ -33,6 +33,9 @@ __all__ = [
 
 MLP_L1 = 1e-5
 MLP_L2 = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,30 +66,21 @@ def lr_at_epoch(sched: LrSchedule, epoch: int) -> float:
 class AdamState:
     """First and second moment buffers for one parameter list."""
 
-    def __init__(self, params: list[Parameter], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter]):
         self.params = list(params)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
-def adam_step(state: AdamState, params: list[Parameter], grads=None, lr: float = 1e-3) -> None:
-    """One Adam update in place; reads p.grad when grads is None."""
-    if params is not state.params and list(params) != state.params:
-        raise ConfigError("adam_step: parameter list does not match optimizer state")
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(state.params):
-        raise ConfigError(f"adam_step: {len(grads)} grads for {len(state.params)} params")
+def adam_step(state: AdamState, lr: float) -> None:
+    """One Adam update in place from each parameter's p.grad (None counts as zero)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for i, p in enumerate(state.params):
-        g = grads[i]
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         else:
@@ -99,7 +93,7 @@ def adam_step(state: AdamState, params: list[Parameter], grads=None, lr: float =
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor:
@@ -121,8 +115,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     loss: str = "mae"
-    l1: float | None = None  # None: variant default (elastic net for MLP, none otherwise)
-    l2: float | None = None
     eval_batch_size: int = 256
 
     def __post_init__(self):
@@ -169,8 +161,7 @@ def train_model(
     if len(val) == 0:
         raise ConfigError("validation dataset is empty")
 
-    l1 = cfg.l1 if cfg.l1 is not None else (MLP_L1 if model.config.variant == "MLP" else 0.0)
-    l2 = cfg.l2 if cfg.l2 is not None else (MLP_L2 if model.config.variant == "MLP" else 0.0)
+    l1, l2 = (MLP_L1, MLP_L2) if model.config.variant == "MLP" else (0.0, 0.0)
 
     params = model.parameters()
     state = AdamState(params)
@@ -201,7 +192,7 @@ def train_model(
                     f"{model.config.variant}: non-finite loss at epoch {epoch}, batch {batch_idx}"
                 )
             backward(loss)
-            adam_step(state, params, None, lr)
+            adam_step(state, lr)
             loss_sum += base.item() * len(xb)
             window_count += len(xb)
 

@@ -201,7 +201,8 @@ def test_criterion_5_trained_models_beat_drifting_persistence(tmp_path):
 def test_criterion_6_optimizer_and_schedule_oracles():
     p = Parameter(np.array([0.0]), "p")
     state = AdamState([p])
-    adam_step(state, [p], grads=[np.array([1.0])], lr=1e-3)
+    p.grad = np.array([1.0])
+    adam_step(state, lr=1e-3)
     got = float(p.data[0])
     # with a unit gradient both bias-corrected moments are exactly 1, so the
     # step is -lr / (1 + eps); that differs from plain -lr by lr * 1e-8

@@ -84,6 +84,14 @@ class TestRun:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("lrs", [{"lr_start": 1e-6, "lr_end": 1e-3}, {"lr_end": 0}],
+                             ids=["reversed", "zero-end"])
+    def test_bad_learning_rates_exit_2_and_write_nothing(self, tmp_path, capsys, lrs):
+        cfg = write_config(tmp_path, **lrs)
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "lr_start > lr_end > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_env_var_picks_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SINECAST_OUT", str(tmp_path / "envout"))
         assert run_cli(["run", "--config", str(write_config(tmp_path))]) == 0

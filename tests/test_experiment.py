@@ -1,15 +1,18 @@
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinecast import experiment
 from sinecast.cli import main
+from sinecast.data import SplitSpec
 from sinecast.errors import ConfigError, TuningError
 from sinecast.evaluation import improvement
 from sinecast.experiment import (
     DatasetSource,
+    ExperimentConfig,
     attention_memory_bytes,
     config_hash,
     load_config,
@@ -19,6 +22,8 @@ from sinecast.experiment import (
     tune,
 )
 from sinecast.synthetic import as_table, sine_series
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def write_series_csv(path, values):
@@ -124,8 +129,50 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="tuning.train_portions"):
             load_config(write_config(tmp_path, tuning={"train_portions": ["half"]}))
 
+    def test_split_must_hold_numbers(self, tmp_path):
+        with pytest.raises(ConfigError, match="'split' must be a list of three fractions"):
+            load_config(write_config(tmp_path, split=["a", 0.2, 0.2]))
+
+    def test_synthetic_periods_must_be_a_list(self, tmp_path):
+        dataset = {"synthetic": {"kind": "multi_sine_trend", "n": 600, "periods": 5}}
+        with pytest.raises(ConfigError, match="'periods' must be a list of numbers"):
+            load_config(write_config(tmp_path, dataset=dataset))
+
+    @pytest.mark.parametrize("lrs", [{"lr_start": 1e-6, "lr_end": 1e-3}, {"lr_end": 0}],
+                             ids=["reversed", "zero-end"])
+    def test_bad_learning_rates_rejected(self, tmp_path, lrs):
+        with pytest.raises(ConfigError, match="need lr_start > lr_end > 0"):
+            load_config(write_config(tmp_path, **lrs))
+
+    def test_minimal_config_takes_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({
+            "name": "minimal",
+            "dataset": {"synthetic": {"kind": "sine", "n": 600}},
+            "split": [0.6, 0.2, 0.2],
+            "horizons": [24],
+            "models": ["SLP"],
+        }))
+        expected = ExperimentConfig(
+            name="minimal",
+            source=DatasetSource(name="sine", synthetic={"kind": "sine", "n": 600}),
+            split=SplitSpec(0.6, 0.2, 0.2),
+            horizons=(24,),
+            models=("SLP",),
+        )
+        assert load_config(path) == expected
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
+
 
 class TestConfigHash:
+    def test_demo_hash_is_stable(self):
+        # quoted in the README; a schema change must not move it
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+        assert config_hash(cfg) == "2e9e68e62fa7b7edbbf9649119667f269a41f516960bca9b4b93bea848c357aa"
+
     def test_key_order_does_not_matter(self, tmp_path):
         a = load_config(write_config(tmp_path, name="a.json"))
         raw = json.loads((tmp_path / "a.json").read_text())

@@ -68,6 +68,14 @@ class TestResultsCsv:
         with pytest.raises(DataError, match="line 2"):
             read_results_csv(p)
 
+    def test_unparsable_field_names_line_and_field(self, tmp_path):
+        p = write_results_csv(tmp_path / "r.csv", [row(), row(model="MLP")])
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].replace("MLP,24,", "MLP,abc,")
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 3, field 'horizon': cannot parse 'abc'"):
+            read_results_csv(p)
+
     def test_writes_are_byte_identical(self, tmp_path):
         rows = [row(), row(model="MLP", mae=0.31)]
         a = write_results_csv(tmp_path / "a.csv", rows)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sinecast import training
 from sinecast.autodiff import Parameter, Tensor, backward
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError, NumericError
@@ -58,7 +59,8 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Parameter(np.array([1.0, -2.0]), "p")
         state = AdamState([p])
-        adam_step(state, [p], [np.zeros(2)], lr=0.1)
+        p.grad = np.zeros(2)
+        adam_step(state, lr=0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
         assert state.t == 1
 
@@ -66,7 +68,8 @@ class TestAdam:
         # p=0, g=1: m_hat = v_hat = 1, so the update is exactly lr / (1 + eps)
         p = Parameter(np.array([0.0]), "p")
         state = AdamState([p])
-        adam_step(state, [p], [np.array([1.0])], lr=0.1)
+        p.grad = np.array([1.0])
+        adam_step(state, lr=0.1)
         expected = -0.1 / (1.0 + 1e-8)
         assert abs(p.data[0] - expected) < 1e-12
 
@@ -85,8 +88,9 @@ class TestAdam:
 
         p = Parameter(np.array([0.5]), "p")
         state = AdamState([p])
-        adam_step(state, [p], [np.array([g1])], lr=lr)
-        adam_step(state, [p], [np.array([g2])], lr=lr)
+        for g in (g1, g2):
+            p.grad = np.array([g])
+            adam_step(state, lr=lr)
         assert abs(p.data[0] - p_ref) < 1e-12
 
     def test_reads_grads_from_parameters_when_not_given(self):
@@ -94,21 +98,22 @@ class TestAdam:
         loss = (p * p).sum()
         backward(loss)
         state = AdamState([p])
-        adam_step(state, [p], None, lr=0.1)
+        adam_step(state, lr=0.1)
         assert p.data[0] < 2.0
 
     def test_non_finite_gradient_rejected(self):
         p = Parameter(np.array([0.0]), "p")
         state = AdamState([p])
+        p.grad = np.array([np.nan])
         with pytest.raises(NumericError):
-            adam_step(state, [p], [np.array([np.nan])], lr=0.1)
+            adam_step(state, lr=0.1)
 
     def test_converges_on_quadratic(self):
         p = Parameter(np.array([5.0]), "p")
         state = AdamState([p])
         for _ in range(2000):
             backward((p * p).sum())
-            adam_step(state, [p], None, lr=0.01)
+            adam_step(state, lr=0.01)
         assert abs(p.data[0]) < 1e-2
 
 
@@ -226,15 +231,17 @@ class TestTrainModel:
         first = lines[1].split(",")
         assert float(first[1]) == report.lrs[0]
 
-    def test_mlp_uses_elastic_net_by_default(self):
-        # shrinkage: with an equal-loss landscape the penalty pulls weights
-        # toward zero, so the final weight norm under default (penalized)
-        # training must not exceed the explicitly unpenalized run
+    def test_mlp_uses_elastic_net_by_default(self, monkeypatch):
+        # the MLP's penalty must change its training: the same run with the
+        # penalty strengths patched to zero ends at different weights
         train, val = self._datasets(input_len=12, horizon=6)
         norms = {}
-        for tag, overrides in (("default", {}), ("off", {"l1": 0.0, "l2": 0.0})):
+        for tag in ("default", "off"):
+            if tag == "off":
+                monkeypatch.setattr(training, "MLP_L1", 0.0)
+                monkeypatch.setattr(training, "MLP_L2", 0.0)
             model = Forecaster(ModelConfig(variant="MLP", input_len=12, horizon=6, channels=1, seed=7))
-            cfg = TrainConfig(schedule=LrSchedule(1e-3, 1e-6, 5), batch_size=32, seed=7, **overrides)
+            cfg = TrainConfig(schedule=LrSchedule(1e-3, 1e-6, 5), batch_size=32, seed=7)
             train_model(model, train, val, cfg)
             norms[tag] = sum(float(np.abs(p.data).sum()) for p in model.parameters())
         assert norms["default"] != norms["off"]
