@@ -62,8 +62,10 @@ class Tensor:
 
     Tensors built from raw data must be finite; operation outputs skip the
     check for speed (non-finite training losses are caught downstream).
-    Data is treated as immutable once wrapped, except for Parameters whose
-    buffers the optimizer updates in place between graph builds.
+    Data is treated as immutable once wrapped, except for Parameters, whose
+    buffers the optimizer updates in place between graph builds. So no
+    graph, view or caller's array that aliases a Parameter's ``data`` may
+    outlive an optimizer step: it would see the new values.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -273,10 +275,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with a stable name inside one model."""
+    """Trainable leaf tensor with a stable name inside one model.
+
+    It owns its buffer: ``data`` is copied into a fresh C-contiguous array,
+    because the optimizer updates it in place and must not write into the
+    caller's array.
+    """
 
     def __init__(self, data, name: str, is_bias: bool = False):
-        super().__init__(data, requires_grad=True)
+        super().__init__(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
         self.name = name
         self.is_bias = is_bias
 

@@ -68,32 +68,88 @@ class AdamState:
 
     def __init__(self, params: list[Parameter]):
         self.params = list(params)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         self.t = 0
 
 
+# Elements per block of one adam_step update: 256 KB per operand, so the
+# six operands of a block stay in cache across its 14 operations instead of
+# each operation streaming a parameter-sized array through memory.
+_ADAM_BLOCK = 1 << 15
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """View as [rows, row length]: a 1-D array is a column of one-element rows."""
+    return a.reshape(a.shape[0], -1) if a.ndim > 1 else a.reshape(-1, 1)
+
+
 def adam_step(state: AdamState, lr: float) -> None:
-    """One Adam update in place from each parameter's p.grad (None counts as zero)."""
-    state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    """One Adam update from each parameter's p.grad (None counts as zero).
+
+    Every gradient is checked (shape, finiteness) and every parameter buffer
+    must be C-contiguous and writable before anything is written, so a
+    rejected step leaves parameters, moments and ``state.t`` untouched.
+
+    ``p.data``, ``m`` and ``v`` are then updated in place, walking each
+    parameter in blocks of whole rows of at most ``_ADAM_BLOCK`` elements
+    (one row, if a row is longer). Each block's gradient is copied into a
+    contiguous buffer, which also reads the F-order gradients of transposed
+    weights once, and the update runs through two scratch blocks; all three
+    buffers are allocated once per call. Each element sees the same float
+    operations in the same order as the out-of-place formula in the
+    comments, so the results are bit-identical to it.
+    """
+    grads = []
     for i, p in enumerate(state.params):
         g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        else:
+        if g is not None:
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ConfigError(f"adam_step: grad shape {g.shape} vs param {p.data.shape}")
             if not np.isfinite(g).all():
                 raise NumericError(f"adam_step: non-finite gradient for {getattr(p, 'name', i)}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            raise ConfigError(f"adam_step: data of {getattr(p, 'name', i)} is not a C-contiguous writable array")
+        grads.append(g)
+
+    state.t += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    width = max([_ADAM_BLOCK] + [_as_rows(p.data).shape[1] for p in state.params])
+    g_buf, s1_buf, s2_buf = np.empty(width), np.empty(width), np.empty(width)
+    for p, m_all, v_all, grad in zip(state.params, state.m, state.v, grads):
+        p_flat, m_flat, v_flat = p.data.reshape(-1), m_all.reshape(-1), v_all.reshape(-1)
+        g_rows = None if grad is None else _as_rows(grad)
+        n_rows, row_len = _as_rows(p.data).shape
+        block_rows = max(1, _ADAM_BLOCK // row_len)
+        for r0 in range(0, n_rows, block_rows):
+            r1 = min(r0 + block_rows, n_rows)
+            lo, hi = r0 * row_len, r1 * row_len
+            g, s1, s2 = g_buf[: hi - lo], s1_buf[: hi - lo], s2_buf[: hi - lo]
+            m, v, w = m_flat[lo:hi], v_flat[lo:hi], p_flat[lo:hi]
+            if g_rows is None:
+                g.fill(0.0)
+            else:
+                np.copyto(g.reshape(r1 - r0, row_len), g_rows[r0:r1])
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(b1, m, out=m)
+            np.multiply(1.0 - b1, g, out=s1)
+            np.add(m, s1, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=g)
+            np.multiply(b2, v, out=v)
+            np.multiply(1.0 - b2, g, out=g)
+            np.add(v, g, out=v)
+            # p = p - lr * m_hat / (sqrt(v_hat) + eps), m_hat = m / bc1, v_hat = v / bc2
+            np.divide(m, bc1, out=s1)
+            np.divide(v, bc2, out=s2)
+            np.multiply(lr, s1, out=s1)
+            np.sqrt(s2, out=s2)
+            np.add(s2, ADAM_EPS, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(w, s1, out=w)
 
 
 def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor:

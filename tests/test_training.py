@@ -1,5 +1,8 @@
 """Learning-rate schedule, Adam updates, elastic net, and full training runs."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -116,6 +119,125 @@ class TestAdam:
             adam_step(state, lr=0.01)
         assert abs(p.data[0]) < 1e-2
 
+    def test_rejected_step_changes_nothing(self):
+        # the second gradient is checked before the first parameter is written
+        a = Parameter(np.array([1.0, 2.0]), "a")
+        b = Parameter(np.array([3.0]), "b")
+        state = AdamState([a, b])
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([1.0])
+        adam_step(state, lr=0.1)
+        before = (a.data.copy(), state.m[0].copy(), state.v[0].copy(), state.t)
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.nan])
+        with pytest.raises(NumericError):
+            adam_step(state, lr=0.1)
+        assert np.array_equal(a.data, before[0])
+        assert np.array_equal(state.m[0], before[1])
+        assert np.array_equal(state.v[0], before[2])
+        assert state.t == before[3]
+        b.grad = np.zeros((2,))
+        with pytest.raises(ConfigError, match="grad shape"):
+            adam_step(state, lr=0.1)
+        assert np.array_equal(a.data, before[0]) and state.t == before[3]
+
+    def test_rejects_data_it_cannot_update_in_place(self):
+        p = Parameter(np.ones((3, 4)), "w")
+        state = AdamState([p])
+        p.grad = np.ones((3, 4))
+        p.data = np.ones((4, 3)).T
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            adam_step(state, lr=0.1)
+        assert state.t == 0
+
+
+def _reference_adam(p, m, v, g, t, lr):
+    """The out-of-place update, one array per operation."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+class TestAdamInPlace:
+    SHAPES = {"w_c": (13, 3), "w_f": (9, 17), "b": (23,), "frozen": (4, 5)}
+
+    def _grads(self, rng):
+        return {
+            "w_c": rng.normal(size=self.SHAPES["w_c"]),
+            "w_f": np.asfortranarray(rng.normal(size=self.SHAPES["w_f"])),
+            "b": rng.normal(size=self.SHAPES["b"]),
+            "frozen": None,
+        }
+
+    @pytest.mark.parametrize("block", [None, 7, 1], ids=["default", "block7", "block1"])
+    def test_bit_identical_to_out_of_place_reference(self, monkeypatch, block):
+        # block 7: w_c walks 2-row blocks and b 7-row blocks, each ending in
+        # a partial block, and w_f's rows of 17 are wider than a block
+        if block is not None:
+            monkeypatch.setattr(training, "_ADAM_BLOCK", block)
+        rng = np.random.default_rng(11)
+        params = [Parameter(rng.normal(size=shape), name) for name, shape in self.SHAPES.items()]
+        state = AdamState(params)
+        ref = {p.name: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params}
+        for t in range(1, 6):
+            lr = 1e-2 * 0.5 ** (t - 1)
+            grads = self._grads(rng)
+            assert grads["w_f"].flags.f_contiguous and not grads["w_f"].flags.c_contiguous
+            buffers = [(p.data, m, v) for p, m, v in zip(params, state.m, state.v)]
+            for p in params:
+                p.grad = grads[p.name]
+            adam_step(state, lr)
+            for p, m, v, (p_buf, m_buf, v_buf) in zip(params, state.m, state.v, buffers):
+                g = np.zeros(p.shape) if grads[p.name] is None else grads[p.name]
+                ref[p.name] = _reference_adam(*ref[p.name], g, t, lr)
+                assert p.data is p_buf and m is m_buf and v is v_buf
+                assert np.array_equal(p.data, ref[p.name][0]), (p.name, t)
+                assert np.array_equal(m, ref[p.name][1]), (p.name, t)
+                assert np.array_equal(v, ref[p.name][2]), (p.name, t)
+
+    def test_step_allocates_less_than_one_parameter(self):
+        # guard against parameter-sized temporaries: the old out-of-place
+        # update peaked at about six parameters (24.9 MB here)
+        rng = np.random.default_rng(0)
+        p = Parameter(rng.normal(size=(720, 720)), "w")
+        state = AdamState([p])
+        p.grad = np.asfortranarray(rng.normal(size=(720, 720)))
+        tracemalloc.start()
+        try:
+            adam_step(state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes, f"adam_step peak {peak / 1e6:.2f} MB"
+
+
+class TestParameterBuffer:
+    def test_does_not_alias_callers_array(self):
+        a = np.arange(6.0).reshape(2, 3)
+        p = Parameter(a, "w")
+        state = AdamState([p])
+        p.grad = np.ones((2, 3))
+        adam_step(state, lr=0.1)
+        assert np.array_equal(a, np.arange(6.0).reshape(2, 3))
+        assert not np.array_equal(p.data, a)
+
+    def test_transposed_input_trains_like_contiguous_copy(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 4))
+        finals = []
+        for data in (a.T, np.ascontiguousarray(a.T)):
+            p = Parameter(data, "w")
+            assert p.data.flags.c_contiguous and p.data.flags.writeable
+            state = AdamState([p])
+            grad_rng = np.random.default_rng(6)
+            for _ in range(3):
+                p.grad = grad_rng.normal(size=(4, 6))
+                adam_step(state, lr=1e-2)
+            finals.append((p.data, state.m[0], state.v[0]))
+        for x, y in zip(*finals):
+            assert np.array_equal(x, y)
+
 
 class TestElasticNet:
     def test_zero_weights_zero_penalty(self):
@@ -219,6 +341,25 @@ class TestTrainModel:
 
         rerun = evaluate(model, val, dataset_name="va").mae
         assert abs(rerun - report.best_val_mae) < 1e-12
+
+    def test_restores_a_copy_of_the_best_epochs_parameters(self, monkeypatch):
+        # the best epoch is neither the first nor the last, and later in-place
+        # steps must not have reached the snapshot taken at it
+        train, val = self._datasets()
+        model = Forecaster(ModelConfig(variant="Linear", input_len=24, horizon=12, channels=1, seed=8))
+        maes = iter([0.5, 0.2, 0.3, 0.4])
+        seen = []
+
+        def fake_evaluate(m, dataset, dataset_name, batch_size):
+            seen.append({name: p.data.copy() for name, p in m.params.items()})
+            return SimpleNamespace(mae=next(maes))
+
+        monkeypatch.setattr(training, "evaluate", fake_evaluate)
+        report = train_model(model, train, val, self._config(n_epochs=4))
+        assert report.best_epoch == 1 and len(seen) == 4
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, seen[1][name])
+            assert not np.array_equal(p.data, seen[3][name])
 
     def test_training_log_csv(self, tmp_path):
         train, val = self._datasets()
