@@ -12,6 +12,12 @@ Broadcasting is deliberately restricted: elementwise ops require equal
 shapes, and addition additionally accepts a right operand whose shape
 matches the trailing axes of the left one (row-wise bias, additive masks).
 Anything else raises ShapeError so that model wiring bugs stay loud.
+
+Where a chain of ops would only build one formula, it is one op instead, so
+the tape keeps one output and backward allocates only what the formula
+needs: :func:`dense` is the only matrix product (a layer's weight and bias in
+one node), :func:`layer_norm_rows` a whole normalization and
+:func:`multi_head_attention` a whole attention site.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .errors import GraphError, NumericError, ShapeError
 __all__ = [
     "Tensor",
     "Parameter",
-    "matmul",
+    "dense",
     "layer_norm_rows",
     "multi_head_attention",
     "backward",
@@ -296,38 +302,33 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2D x 2D, batched 3D x 3D, or batched 3D x shared 2D."""
-    ashape, bshape = a.shape, b.shape
-    if a.ndim == 2 and b.ndim == 2:
-        if ashape[1] != bshape[0]:
-            raise ShapeError(f"matmul: inner dims of {ashape} and {bshape} disagree")
-        out = Tensor._from_op(a.data @ b.data, (a, b), None, "matmul")
+def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x [..., in] -> x @ w.T + b [..., out], with the weight stored [out, in].
 
-        def bw(g):
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.T @ g)
+    One node: the bias is added in place to the product. Backward computes
+    the weight gradient as g^T x over the flattened leading axes, one GEMM
+    whose result is already C-order [out, in], and sums the bias gradient
+    over the leading axes. It skips g @ w when x needs no gradient (a data
+    batch) and the weight gradient when w needs none.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"dense: input {x.shape} vs weight {w.shape} (expected [..., in] and [out, in])")
+    n_out, n_in = w.shape
+    if b is not None and b.shape != (n_out,):
+        raise ShapeError(f"dense: bias {b.shape} vs ({n_out},)")
+    y = x.data @ w.data.T
+    if b is not None:
+        y += b.data
+    out = Tensor._from_op(y, (x, w) if b is None else (x, w, b), None, "dense")
 
-    elif a.ndim == 3 and b.ndim == 3:
-        if ashape[0] != bshape[0] or ashape[2] != bshape[1]:
-            raise ShapeError(f"matmul: batched shapes {ashape} and {bshape} disagree")
-        out = Tensor._from_op(a.data @ b.data, (a, b), None, "matmul")
+    def bw(g):
+        if x.requires_grad:
+            _acc(x, g @ w.data)
+        if w.requires_grad:
+            _acc(w, g.reshape(-1, n_out).T @ x.data.reshape(-1, n_in))
+        if b is not None and b.requires_grad:
+            _acc(b, g.sum(axis=tuple(range(g.ndim - 1))))
 
-        def bw(g):
-            _acc(a, g @ b.data.transpose(0, 2, 1))
-            _acc(b, a.data.transpose(0, 2, 1) @ g)
-
-    elif a.ndim == 3 and b.ndim == 2:
-        if ashape[2] != bshape[0]:
-            raise ShapeError(f"matmul: inner dims of {ashape} and {bshape} disagree")
-        out = Tensor._from_op(a.data @ b.data, (a, b), None, "matmul")
-
-        def bw(g):
-            _acc(a, g @ b.data.T)
-            _acc(b, a.data.reshape(-1, ashape[2]).T @ g.reshape(-1, bshape[1]))
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {ashape} x {bshape}")
     out._backward = bw if out.requires_grad else None
     return out
 
@@ -384,9 +385,9 @@ def multi_head_attention(
     reuses one chunk-sized block. Backward walks the same chunks and heads
     and uses dS = P * (dP - rowsum(dP * P)) (the form FlashAttention uses,
     Dao et al. 2022). Each batch element sees the same float operations, in
-    the same order, as composing matmul, scale, mask add, max-shifted
-    softmax and matmul node by node, so the results equal that composition
-    bit for bit, whatever the chunk size.
+    the same order, as composing a batched matrix product, scale, mask add,
+    max-shifted softmax and a batched matrix product node by node, so the
+    results equal that composition bit for bit, whatever the chunk size.
     """
     if n_heads < 1:
         raise ShapeError(f"multi_head_attention: n_heads={n_heads} must be >= 1")

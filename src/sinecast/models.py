@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Parameter, Tensor, layer_norm_rows, matmul, multi_head_attention
+from .autodiff import Parameter, Tensor, dense, layer_norm_rows, multi_head_attention
 from .errors import ConfigError, ShapeError
 
 __all__ = [
@@ -136,14 +136,6 @@ class DecoderBlockParams:
     norm2: NormParams
     norm3: NormParams
     n_heads: int
-
-
-def dense(x: Tensor, w: Parameter, b: Parameter | None = None) -> Tensor:
-    """x [..., in] -> [..., out] with weight stored [out, in]."""
-    out = matmul(x, w.transpose())
-    if b is not None:
-        out = out + b
-    return out
 
 
 def _fold_channels(x: Tensor) -> Tensor:

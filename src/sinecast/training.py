@@ -84,22 +84,34 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1) if a.ndim > 1 else a.reshape(-1, 1)
 
 
+def _row_blocks(n_rows: int, row_len: int):
+    """(first row, end row) of each block of whole rows of at most ``_ADAM_BLOCK``
+    elements, or of one row when a row is longer."""
+    step = max(1, _ADAM_BLOCK // row_len)
+    for r0 in range(0, n_rows, step):
+        yield r0, min(r0 + step, n_rows)
+
+
 def adam_step(state: AdamState, lr: float) -> None:
     """One Adam update from each parameter's p.grad (None counts as zero).
 
     Every gradient is checked (shape, finiteness) and every parameter buffer
     must be C-contiguous and writable before anything is written, so a
-    rejected step leaves parameters, moments and ``state.t`` untouched.
+    rejected step leaves parameters, moments and ``state.t`` untouched. The
+    finiteness check walks each gradient in the same row blocks as the
+    update, through one reused block-sized mask.
 
     ``p.data``, ``m`` and ``v`` are then updated in place, walking each
     parameter in blocks of whole rows of at most ``_ADAM_BLOCK`` elements
     (one row, if a row is longer). Each block's gradient is copied into a
-    contiguous buffer, which also reads the F-order gradients of transposed
-    weights once, and the update runs through two scratch blocks; all three
-    buffers are allocated once per call. Each element sees the same float
-    operations in the same order as the out-of-place formula in the
-    comments, so the results are bit-identical to it.
+    contiguous buffer, which also reads a non-contiguous gradient once, and
+    the update runs through two scratch blocks; all four buffers are
+    allocated once per call. Each element sees the same float operations in
+    the same order as the out-of-place formula in the comments, so the
+    results are bit-identical to it.
     """
+    width = max([_ADAM_BLOCK] + [_as_rows(p.data).shape[1] for p in state.params])
+    finite = np.empty(width, dtype=bool)
     grads = []
     for i, p in enumerate(state.params):
         g = p.grad
@@ -107,8 +119,12 @@ def adam_step(state: AdamState, lr: float) -> None:
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.data.shape:
                 raise ConfigError(f"adam_step: grad shape {g.shape} vs param {p.data.shape}")
-            if not np.isfinite(g).all():
-                raise NumericError(f"adam_step: non-finite gradient for {getattr(p, 'name', i)}")
+            g_rows = _as_rows(g)
+            n_rows, row_len = g_rows.shape
+            for r0, r1 in _row_blocks(n_rows, row_len):
+                mask = finite[: (r1 - r0) * row_len].reshape(r1 - r0, row_len)
+                if not np.isfinite(g_rows[r0:r1], out=mask).all():
+                    raise NumericError(f"adam_step: non-finite gradient for {getattr(p, 'name', i)}")
         if not (p.data.flags.c_contiguous and p.data.flags.writeable):
             raise ConfigError(f"adam_step: data of {getattr(p, 'name', i)} is not a C-contiguous writable array")
         grads.append(g)
@@ -117,15 +133,12 @@ def adam_step(state: AdamState, lr: float) -> None:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    width = max([_ADAM_BLOCK] + [_as_rows(p.data).shape[1] for p in state.params])
     g_buf, s1_buf, s2_buf = np.empty(width), np.empty(width), np.empty(width)
     for p, m_all, v_all, grad in zip(state.params, state.m, state.v, grads):
         p_flat, m_flat, v_flat = p.data.reshape(-1), m_all.reshape(-1), v_all.reshape(-1)
         g_rows = None if grad is None else _as_rows(grad)
         n_rows, row_len = _as_rows(p.data).shape
-        block_rows = max(1, _ADAM_BLOCK // row_len)
-        for r0 in range(0, n_rows, block_rows):
-            r1 = min(r0 + block_rows, n_rows)
+        for r0, r1 in _row_blocks(n_rows, row_len):
             lo, hi = r0 * row_len, r1 * row_len
             g, s1, s2 = g_buf[: hi - lo], s1_buf[: hi - lo], s2_buf[: hi - lo]
             m, v, w = m_flat[lo:hi], v_flat[lo:hi], p_flat[lo:hi]
@@ -153,16 +166,41 @@ def adam_step(state: AdamState, lr: float) -> None:
 
 
 def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor:
-    """l1*sum|w| + l2*sum(w^2) over weight matrices; biases and norm gains excluded."""
+    """l1*sum|w| + l2*sum(w^2) over weight matrices; biases and norm gains excluded.
+
+    One autodiff node that keeps no weight-sized array. Its backward adds
+    (g*l1)*sign(w) and twice (g*l2)*w to each weight's gradient, in the
+    order and with the rounding of the chain of abs, square, sum, scale and
+    add nodes it replaces.
+    """
     if l1 < 0 or l2 < 0:
         raise ConfigError(f"penalty strengths must be non-negative, got l1={l1}, l2={l2}")
+    weights = [p for p in params if not (getattr(p, "is_bias", False) or p.ndim < 2)]
+    if not weights:
+        return Tensor(0.0)
     total = None
-    for p in params:
-        if getattr(p, "is_bias", False) or p.ndim < 2:
-            continue
-        term = p.abs().sum() * l1 + (p * p).sum() * l2
+    for w in weights:
+        term = np.abs(w.data).sum() * l1 + (w.data * w.data).sum() * l2
         total = term if total is None else total + term
-    return total if total is not None else Tensor(0.0)
+    out = Tensor._from_op(np.asarray(total), weights, None, "elastic_net")
+
+    def bw(g):
+        c1, c2 = g * l1, g * l2
+        scratch = np.empty(max(w.size for w in weights))
+        for w in weights:
+            # ((D + A) + M) + M with D the gradient so far, A = c1*sign(w), M = c2*w;
+            # accumulated in place only into arrays allocated here
+            m = np.multiply(w.data, c2, out=scratch[: w.size].reshape(w.shape))
+            grad = np.sign(w.data)
+            grad *= c1
+            if w.grad is not None:
+                grad += w.grad
+            grad += m
+            grad += m
+            w.grad = grad
+
+    out._backward = bw if out.requires_grad else None
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from sinecast.autodiff import (
     Tensor,
     backward,
     grad_check,
+    dense,
     layer_norm_rows,
-    matmul,
     multi_head_attention,
     no_grad,
 )
@@ -66,39 +66,33 @@ def reference_attention(q, k, v, n_heads, mask=None):
 
 
 class TestForwardValues:
+    # "matmul" in a test name means the matrix product, which dense computes
     def test_matmul_matches_triple_loop(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(5, 3))
+        w = rng.normal(size=(3, 5))
         expected = np.zeros((4, 3))
         for i in range(4):
             for j in range(3):
                 for k in range(5):
-                    expected[i, j] += a[i, k] * b[k, j]
-        got = matmul(Tensor(a), Tensor(b)).data
+                    expected[i, j] += a[i, k] * w[j, k]
+        got = dense(Tensor(a), Tensor(w)).data
         assert np.abs(got - expected).max() < 1e-12
-
-    def test_batched_matmul_matches_per_item_loop(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(6, 4, 5))
-        b = rng.normal(size=(6, 5, 3))
-        got = matmul(Tensor(a), Tensor(b)).data
-        for n in range(6):
-            assert np.abs(got[n] - a[n] @ b[n]).max() < 1e-12
 
     def test_batched_times_shared_matches_per_item_loop(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(6, 4, 5))
-        b = rng.normal(size=(5, 3))
-        got = matmul(Tensor(a), Tensor(b)).data
+        w = rng.normal(size=(3, 5))
+        got = dense(Tensor(a), Tensor(w)).data
         for n in range(6):
-            assert np.abs(got[n] - a[n] @ b).max() < 1e-12
+            assert np.abs(got[n] - a[n] @ w.T).max() < 1e-12
 
     def test_matmul_associativity(self):
+        # (a b^T) c^T == a (c b)^T
         rng = np.random.default_rng(10)
         a, b, c = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-        left = matmul(matmul(a, b), c).data
-        right = matmul(a, matmul(b, c)).data
+        left = dense(dense(a, b), c).data
+        right = dense(a, dense(c, b.transpose())).data
         assert np.abs(left - right).max() < 1e-9
 
     def test_softmax_rows_sum_to_one(self):
@@ -152,7 +146,7 @@ class TestForwardValues:
 class TestShapeValidation:
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
     def test_add_incompatible(self):
         with pytest.raises(ShapeError):
@@ -194,14 +188,14 @@ class TestGradients:
     def test_matmul_2d(self):
         rng = np.random.default_rng(20)
         a = Parameter(rng.normal(size=(3, 4)), "a")
-        b = Parameter(rng.normal(size=(4, 2)), "b")
-        self._check(lambda: matmul(a, b).sum(), [a, b])
+        w = Parameter(rng.normal(size=(2, 4)), "w")
+        self._check(lambda: dense(a, w).sum(), [a, w])
 
     def test_matmul_3d_shared_rhs(self):
         rng = np.random.default_rng(21)
         a = Parameter(rng.normal(size=(5, 3, 4)), "a")
-        b = Parameter(rng.normal(size=(4, 2)), "b")
-        self._check(lambda: matmul(a, b).abs().mean(), [a, b])
+        w = Parameter(rng.normal(size=(2, 4)), "w")
+        self._check(lambda: dense(a, w).abs().mean(), [a, w])
 
     @pytest.mark.parametrize("d_in", [1, 4])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -209,17 +203,11 @@ class TestGradients:
         rng = np.random.default_rng(23)
         a_np = rng.normal(size=(5, d_in, 3)).transpose(0, 2, 1) if transposed else rng.normal(size=(5, 3, d_in))
         a = Tensor(a_np)
-        b = Parameter(rng.normal(size=(d_in, 2)), "b")
+        w = Parameter(rng.normal(size=(2, d_in)), "w")
         g = rng.normal(size=(5, 3, 2))
-        backward((matmul(a, b) * Tensor(g)).sum())
-        expected = np.einsum("nab,nac->bc", a_np, g)
-        assert np.abs(b.grad - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    def test_matmul_3d_batched(self):
-        rng = np.random.default_rng(22)
-        a = Parameter(rng.normal(size=(3, 2, 4)), "a")
-        b = Parameter(rng.normal(size=(3, 4, 2)), "b")
-        self._check(lambda: matmul(a, b).mean(), [a, b])
+        backward((dense(a, w) * Tensor(g)).sum())
+        expected = np.einsum("nab,nac->cb", a_np, g)
+        assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_softmax(self):
         # identity values expose the probabilities, so only the softmax
@@ -248,11 +236,11 @@ class TestGradients:
     def test_reshape_transpose(self):
         rng = np.random.default_rng(26)
         x = Parameter(rng.normal(size=(2, 3, 4)), "x")
-        w = Tensor(rng.normal(size=(3, 6)))
+        w = Tensor(rng.normal(size=(6, 3)))
 
         def loss():
             t = x.transpose((0, 2, 1)).reshape(8, 3)
-            return (matmul(t, w) * 0.5).mean()
+            return (dense(t, w) * 0.5).mean()
 
         self._check(loss, [x])
 
@@ -289,7 +277,7 @@ class TestGradients:
         import weakref
 
         w = Parameter(np.ones((4, 4)), "w")
-        mid = matmul(Tensor(np.ones((4, 4))), w).sin()
+        mid = dense(Tensor(np.ones((4, 4))), w).sin()
         loss = mid.mean()
         backward(loss)
         ref = weakref.ref(mid)
@@ -299,11 +287,11 @@ class TestGradients:
 
 class TestNoGrad:
     def test_same_values_and_no_graph(self):
-        w = Parameter(np.random.default_rng(0).normal(size=(4, 3)), "w")
+        w = Parameter(np.random.default_rng(0).normal(size=(3, 4)), "w")
         x = Tensor(np.random.default_rng(1).normal(size=(2, 4)))
-        taped = matmul(x, w).sin()
+        taped = dense(x, w).sin()
         with no_grad():
-            free = matmul(x, w).sin()
+            free = dense(x, w).sin()
         assert np.array_equal(free.data, taped.data)
         assert not free.requires_grad and free._parents == () and free._backward is None
         assert taped.requires_grad and taped._parents
@@ -313,7 +301,7 @@ class TestNoGrad:
 
         w = Parameter(np.ones((4, 4)), "w")
         with no_grad():
-            mid = matmul(Tensor(np.ones((4, 4))), w)
+            mid = dense(Tensor(np.ones((4, 4))), w)
             ref = weakref.ref(mid)
             out = mid.sin()
             del mid
@@ -350,6 +338,82 @@ class TestNoGrad:
         t.join(timeout=10)
         assert not t.is_alive()
         assert seen == [True]
+
+
+class TestDense:
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("lead", [(6,), (4, 3)])
+    def test_gradients(self, lead, bias):
+        rng = np.random.default_rng(50)
+        x = Parameter(rng.normal(size=lead + (5,)), "x")
+        w = Parameter(rng.normal(size=(3, 5)), "w")
+        b = Parameter(rng.normal(size=3), "b") if bias else None
+        up = Tensor(rng.normal(size=lead + (3,)))
+        params = [x, w] if b is None else [x, w, b]
+        err = grad_check(lambda: (dense(x, w, b).sin() * up).sum(), params, max_coords_per_param=100)
+        assert err < 1e-7
+
+    def test_gradients_through_non_contiguous_folded_input(self):
+        # a [B, I, C] batch read as [B, C, I]: the input is a strided view
+        rng = np.random.default_rng(51)
+        x = Parameter(rng.normal(size=(4, 5, 2)), "x")
+        w = Parameter(rng.normal(size=(3, 5)), "w")
+        b = Parameter(rng.normal(size=3), "b")
+        up = Tensor(rng.normal(size=(4, 2, 3)))
+        assert not x.transpose((0, 2, 1)).data.flags.c_contiguous
+        err = grad_check(
+            lambda: (dense(x.transpose((0, 2, 1)), w, b) * up).sum(), [x, w, b], max_coords_per_param=100
+        )
+        assert err < 1e-7
+
+    @pytest.mark.parametrize("lead", [(6,), (4, 3)])
+    def test_forward_is_exactly_product_plus_bias(self, lead):
+        rng = np.random.default_rng(52)
+        x, w, b = rng.normal(size=lead + (5,)), rng.normal(size=(3, 5)), rng.normal(size=3)
+        assert np.array_equal(dense(Tensor(x), Tensor(w), Tensor(b)).data, x @ w.T + b)
+        assert np.array_equal(dense(Tensor(x), Tensor(w)).data, x @ w.T)
+
+    @pytest.mark.parametrize("lead", [(64,), (8, 24)])
+    def test_weight_grad_is_c_order_g_transpose_x(self, lead):
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=lead + (40,))
+        w = Parameter(rng.normal(size=(30, 40)), "w")
+        b = Parameter(rng.normal(size=30), "b")
+        g = rng.normal(size=lead + (30,))
+        backward((dense(Tensor(x), w, b) * Tensor(g)).sum())
+        assert w.grad.flags.c_contiguous
+        assert np.array_equal(w.grad, g.reshape(-1, 30).T @ x.reshape(-1, 40))
+        assert np.array_equal(b.grad, g.sum(axis=tuple(range(len(lead)))))
+
+    def test_skips_gradients_nothing_needs(self):
+        rng = np.random.default_rng(54)
+        x, w = Tensor(rng.normal(size=(4, 5))), Parameter(rng.normal(size=(3, 5)), "w")
+        backward(dense(x, w).sum())
+        assert x.grad is None and w.grad is not None
+        xp, wc = Parameter(rng.normal(size=(4, 5)), "x"), Tensor(rng.normal(size=(3, 5)))
+        backward(dense(xp, wc).sum())
+        assert wc.grad is None
+        assert np.array_equal(xp.grad, np.ones((4, 3)) @ wc.data)
+
+    def test_one_node(self):
+        rng = np.random.default_rng(55)
+        x = Tensor(rng.normal(size=(4, 5)))
+        w, b = Parameter(rng.normal(size=(3, 5)), "w"), Parameter(np.zeros(3), "b")
+        out = dense(x, w, b)
+        assert out.op == "dense" and out._parents == (x, w, b)
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((4, 5)))
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.zeros((3, 4))))  # inner dimension
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))  # bias length
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.zeros((3, 5))), Tensor(np.zeros((1, 3))))  # bias rank
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.zeros((2, 3, 5))))  # weight rank
+        with pytest.raises(ShapeError):
+            dense(x, Tensor(np.zeros(5)))
 
 
 def causal(m, n):
@@ -436,15 +500,15 @@ class TestMultiHeadAttention:
 def test_composite_gradient_property(seed):
     """Random small composite graphs always agree with finite differences."""
     rng = np.random.default_rng(seed)
-    w1 = Parameter(rng.normal(size=(3, 4)) * 0.5, "w1")
+    w1 = Parameter(rng.normal(size=(4, 3)) * 0.5, "w1")
     b1 = Parameter(rng.normal(size=4) * 0.1, "b1")
-    w2 = Parameter(rng.normal(size=(4, 2)) * 0.5, "w2")
+    w2 = Parameter(rng.normal(size=(2, 4)) * 0.5, "w2")
     x = Tensor(rng.normal(size=(5, 3)))
     y = Tensor(rng.normal(size=(5, 2)))
 
     def loss():
-        h = (matmul(x, w1) + b1).sin()
-        pred = matmul(h, w2)
+        h = dense(x, w1, b1).sin()
+        pred = dense(h, w2)
         return (pred - y).abs().mean() + (w2 * w2).sum() * 1e-2
 
     loss_val = loss()
@@ -458,9 +522,9 @@ def test_composite_gradient_property(seed):
 class TestGradCheckHelper:
     def test_reports_small_error_on_correct_graph(self):
         rng = np.random.default_rng(30)
-        w = Parameter(rng.normal(size=(4, 3)), "w")
+        w = Parameter(rng.normal(size=(3, 4)), "w")
         x = Tensor(rng.normal(size=(6, 4)))
-        err = grad_check(lambda: matmul(x, w).sin().mean(), [w])
+        err = grad_check(lambda: dense(x, w).sin().mean(), [w])
         assert err < 1e-7
 
     def test_detects_a_wrong_gradient(self):

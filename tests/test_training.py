@@ -148,6 +148,19 @@ class TestAdam:
             adam_step(state, lr=0.1)
         assert state.t == 0
 
+    def test_non_finite_value_in_a_later_block_rejected(self, monkeypatch):
+        # the finiteness check walks the gradient block by block: a NaN in
+        # the last, partial block of the second parameter still stops the step
+        monkeypatch.setattr(training, "_ADAM_BLOCK", 8)
+        a = Parameter(np.ones((5, 4)), "a")
+        b = Parameter(np.ones((7, 3)), "b")
+        state = AdamState([a, b])
+        a.grad, b.grad = np.ones((5, 4)), np.ones((7, 3))
+        b.grad[6, 2] = np.inf
+        with pytest.raises(NumericError, match="for b"):
+            adam_step(state, lr=0.1)
+        assert np.array_equal(a.data, np.ones((5, 4))) and not state.m[0].any() and state.t == 0
+
 
 def _reference_adam(p, m, v, g, t, lr):
     """The out-of-place update, one array per operation."""
@@ -211,6 +224,23 @@ class TestAdamInPlace:
             tracemalloc.stop()
         assert peak < p.data.nbytes, f"adam_step peak {peak / 1e6:.2f} MB"
 
+    def test_scratch_stays_within_a_few_blocks(self, monkeypatch):
+        # the finiteness check reuses one block-sized mask: a one-byte mask
+        # of the whole gradient (16 blocks here) would take the peak past four
+        monkeypatch.setattr(training, "_ADAM_BLOCK", 1 << 12)
+        rng = np.random.default_rng(1)
+        p = Parameter(rng.normal(size=(512, 1024)), "w")
+        state = AdamState([p])
+        p.grad = rng.normal(size=(512, 1024))
+        block_bytes = 8 * training._ADAM_BLOCK
+        tracemalloc.start()
+        try:
+            adam_step(state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block_bytes, f"adam_step peak {peak / 1e6:.2f} MB"
+
 
 class TestParameterBuffer:
     def test_does_not_alias_callers_array(self):
@@ -266,6 +296,76 @@ class TestElasticNet:
     def test_negative_strengths_rejected(self):
         with pytest.raises(ConfigError):
             elastic_net_penalty([], -1e-5, 0.0)
+
+    @staticmethod
+    def _chain(params, l1, l2):
+        """The penalty as a chain of abs, square, sum, scale and add nodes."""
+        total = None
+        for p in params:
+            if p.is_bias or p.ndim < 2:
+                continue
+            term = p.abs().sum() * l1 + (p * p).sum() * l2
+            total = term if total is None else total + term
+        return total
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.37])
+    @pytest.mark.parametrize("prior", ["none", "mlp"])
+    def test_matches_the_chain_bit_for_bit(self, prior, upstream):
+        # "mlp": each weight already holds its dense gradient when the
+        # penalty's backward runs; "none": the penalty is the whole loss
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(16, 24, 1)), rng.normal(size=(16, 24, 1))
+
+        def run(penalty):
+            model = Forecaster(ModelConfig("MLP", 24, 24, 1, seed=4))
+            model.params["w1"].data[0, :3] = 0.0  # sign(0) is 0
+            pen = penalty(model.parameters(), 1e-3, 2e-2)
+            if upstream != 1.0:
+                pen = pen * upstream
+            loss = pen if prior == "none" else (model(Tensor(x)) - Tensor(y)).abs().mean() + pen
+            backward(loss)
+            return [loss.data] + [p.grad for p in model.parameters()]
+
+        for got, want in zip(run(elastic_net_penalty), run(self._chain)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
+
+    def test_adds_one_node(self, monkeypatch):
+        made = []
+        original = Tensor.__dict__["_from_op"].__func__
+
+        def counting(cls, data, parents, backward_fn, op):
+            made.append(op)
+            return original(cls, data, parents, backward_fn, op)
+
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
+        w1, w2 = Parameter(np.ones((3, 2)), "w1"), Parameter(np.ones((2, 3)), "w2")
+        b = Parameter(np.ones(3), "b", is_bias=True)
+        out = elastic_net_penalty([w1, b, w2], 1e-5, 1e-4)
+        assert made == ["elastic_net"]
+        assert out.shape == () and out._parents == (w1, w2)
+
+
+def test_mlp_training_step_peak_stays_within_four_parameter_sets():
+    # one step as train_model takes it: forward, MAE plus elastic net,
+    # backward, Adam. With a three-node dense layer and the penalty as a
+    # chain of nine nodes per weight it peaked at 5.6 parameter sets here.
+    cfg = ModelConfig("MLP", 360, 360, 1)
+    model = Forecaster(cfg)
+    state = AdamState(model.parameters())
+    rng = np.random.default_rng(0)
+    x, y = Tensor(rng.normal(size=(64, 360, 1))), Tensor(rng.normal(size=(64, 360, 1)))
+    param_bytes = 8 * model.n_parameters()
+    tracemalloc.start()
+    try:
+        loss = (model(x) - y).abs().mean() + elastic_net_penalty(model.parameters(), training.MLP_L1, training.MLP_L2)
+        backward(loss)
+        adam_step(state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * param_bytes, f"step peak {peak / 1e6:.1f} MB, parameters {param_bytes / 1e6:.1f} MB"
 
 
 def sine_table(n=400, period=24.0, amplitude=1.0, noise=0.0, seed=0, name="sine"):
