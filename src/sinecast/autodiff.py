@@ -480,6 +480,8 @@ def backward(loss: Tensor) -> None:
 
     Grads of all reachable nodes are zeroed first, so repeated calls on the
     same graph always produce identical results (no silent accumulation).
+    An interior node's adjoint is dropped once its closure has passed it on,
+    so the backward pass holds fewer of them at once; leaves keep theirs.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -492,6 +494,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def grad_check(

@@ -447,8 +447,8 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
     probabilities with room to spare. The projection, feed-forward and
     layer-norm activations are not counted, so at short horizons a step's
     measured peak can exceed this estimate (a B=32 step's tracemalloc peak
-    over this estimate: Sencoder 1.01 at T=96, 0.63 at 192, 0.48 at 336;
-    Sinformer 0.82 at 96). Non-attention models return 0.
+    over this estimate: Sencoder 0.74 at T=96, 0.49 at 192, 0.39 at 336;
+    Sinformer 0.59 at 96). Non-attention models return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

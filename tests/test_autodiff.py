@@ -284,6 +284,37 @@ class TestGradients:
         del mid, loss
         assert ref() is None
 
+    @pytest.mark.parametrize("variant", ["Linear", "NLinear", "DLinear", "SLP", "MLP", "Sencoder", "Sinformer"])
+    def test_interior_adjoints_dropped_leaf_grads_unchanged(self, variant):
+        from sinecast.models import Forecaster, ModelConfig
+        from sinecast.training import MLP_L1, MLP_L2, elastic_net_penalty
+
+        model = Forecaster(
+            ModelConfig(variant=variant, input_len=8, horizon=8, channels=2, d_model=8, n_heads=2, ffn_dim=8, ma_kernel=3)
+        )
+        rng = np.random.default_rng(5)
+        pred = model(Tensor(rng.normal(size=(3, 8, 2))))
+        loss = (pred - Tensor(rng.normal(size=(3, 8, 2)))).abs().mean()
+        if variant == "MLP":
+            loss = loss + elastic_net_penalty(model.parameters(), MLP_L1, MLP_L2)
+        order = autodiff._topo_order(loss)
+
+        # reference: the same closures in the same order, every adjoint kept
+        loss.grad = np.ones_like(loss.data)
+        for node in reversed(order):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+        kept = {id(p): p.grad for p in model.parameters()}
+
+        backward(loss)
+        interior = [n for n in order if n._backward is not None]
+        assert interior and all(n.grad is None for n in interior)
+        for p in model.parameters():
+            assert np.array_equal(p.grad, kept[id(p)]), p.name
+        backward(loss)  # a second pass over the same graph gives the same grads
+        for p in model.parameters():
+            assert np.array_equal(p.grad, kept[id(p)]), p.name
+
 
 class TestNoGrad:
     def test_same_values_and_no_graph(self):

@@ -2,12 +2,16 @@
 finite-difference gradient checks for every trainable variant."""
 
 import base64
+import binascii
 import json
 import re
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from sinecast import models
 from sinecast.autodiff import Tensor, backward, grad_check
 from sinecast.errors import ConfigError, ShapeError
 from sinecast.models import (
@@ -535,3 +539,63 @@ class TestCheckpoints:
         path = self._rewritten(tmp_path, lambda payload, m: payload["config"].update({key: value}))
         with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: config \\['{key}'\\]"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", [None, 3, 6])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bytes_equal_json_dumps_of_the_payload(self, tmp_path, monkeypatch, variant, block):
+        # blocks of 3 and 6 elements split every parameter and end most in a partial block
+        if block is not None:
+            monkeypatch.setattr(models, "_B64_BLOCK", block)
+        m = Forecaster(toy_config(variant, channels=2, seed=21))
+        payload = {
+            "config": asdict(m.config),
+            "parameters": {
+                name: {"shape": list(p.shape), "float64_le": encode_f64(p.data)} for name, p in m.params.items()
+            },
+        }
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        assert path.read_bytes() == json.dumps(payload).encode()
+
+    def test_block_is_a_whole_number_of_base64_groups(self):
+        assert models._B64_BLOCK % 3 == 0
+
+    def test_save_replaces_an_earlier_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(Forecaster(toy_config("Linear", seed=1)), path)
+        m = Forecaster(toy_config("Linear", seed=2))
+        save_checkpoint(m, str(path))
+        assert np.array_equal(load_checkpoint(path).params["w"].data, m.params["w"].data)
+        assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "model.json"
+        save_checkpoint(Forecaster(toy_config("MLP", seed=1)), path)
+        before = path.read_bytes()
+        calls = []
+
+        def failing_b2a_base64(data, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("interrupted partway through the file")
+            return binascii.b2a_base64(data, **kwargs)
+
+        monkeypatch.setattr(models.binascii, "b2a_base64", failing_b2a_base64)
+        with pytest.raises(error):
+            save_checkpoint(Forecaster(toy_config("MLP", seed=2)), path)
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+    def test_save_allocates_no_parameter_sized_copy(self, tmp_path):
+        m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
+        assert m.params["w"].data.nbytes > 4_000_000
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(m, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
