@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import __version__, synthetic
+from . import __version__, autodiff, synthetic
 from .data import (
     SplitSpec,
     TimeSeriesTable,
@@ -383,13 +383,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _environment() -> dict:
     """What results.csv is byte-identical under: the Python, numpy and BLAS
-    builds and the BLAS thread settings. Recorded in the manifest, not hashed."""
+    builds and the BLAS thread settings. Also the CPU count attention splits
+    its batch chunks over, which changes speed, not results. Recorded in the
+    manifest, not hashed."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "cpus": autodiff._CPUS,
     }
 
 
@@ -440,15 +443,16 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
 
     Attention is one autodiff op (``autodiff.multi_head_attention``). For
     backward it keeps, per attention site, one [batch, T, T] array of softmax
-    probabilities per head. Its forward and backward work on one batch chunk
-    and head at a time, so their transients (the score block, dP overwritten
-    into dS, and dS * P) are chunk-sized: at most 256 KB, or one [T, T] array
+    probabilities per head. Its forward and backward split the batch chunks
+    into one part per CPU, and each part works on one chunk and head at a
+    time, so their transients (the score block, dP overwritten into dS, and
+    dS * P) are one chunk per part: at most 256 KB each, or one [T, T] array
     when that is larger. The factor 4 per head and site covers the
     probabilities with room to spare. The projection, feed-forward and
     layer-norm activations are not counted, so at short horizons a step's
     measured peak can exceed this estimate (a B=32 step's tracemalloc peak
     over this estimate: Sencoder 0.74 at T=96, 0.49 at 192, 0.39 at 336;
-    Sinformer 0.59 at 96). Non-attention models return 0.
+    Sinformer 0.60 at 96). Non-attention models return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

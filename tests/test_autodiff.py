@@ -1,6 +1,10 @@
 """Autodiff core: forward values against brute-force oracles, gradients
 against central finite differences."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -491,21 +495,105 @@ class TestMultiHeadAttention:
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("lead, m, n", [((7,), 4, 4), ((7,), 3, 6), ((), 5, 5), ((2, 3), 4, 6)])
-    def test_batch_chunks_match_one_chunk_exactly(self, monkeypatch, lead, m, n, masked):
+    def test_batch_chunks_match_one_chunk_exactly(self, monkeypatch, set_cpus, lead, m, n, masked):
         rng = np.random.default_rng(42)
         q, k = rng.normal(size=lead + (m, 8)), rng.normal(size=lead + (n, 8))
         v, g = rng.normal(size=lead + (n, 4)), rng.normal(size=lead + (m, 4))
         mask = Tensor(causal(m, n)) if masked else None
+        set_cpus(1)
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 1 << 40)
         whole = self._taped(q, k, v, g, 2, mask)
         # three [m, n] float64 blocks per chunk: a batch of 7 runs as 3 + 3 + 1
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 3 * m * n * 8)
-        chunked = self._taped(q, k, v, g, 2, mask)
+        # parts: one, two, one per chunk (batch 7), and more CPUs than chunks
+        for cpus in (1, 2, 3, 8):
+            set_cpus(cpus)
+            chunked = self._taped(q, k, v, g, 2, mask)
+            with no_grad():
+                free = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
+            for a, b in zip(whole, chunked):
+                assert np.array_equal(a, b)
+            assert np.array_equal(free, whole[0])
+
+    def test_one_part_starts_no_thread(self, monkeypatch, set_cpus):
+        rng = np.random.default_rng(43)
+        q, k, v, g = (rng.normal(size=(7, 4, 8)) for _ in range(4))
+        threads = threading.active_count()
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # seven chunks
+        set_cpus(1)
+        self._taped(q, k, v, g, 2, None)
         with no_grad():
-            free = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
-        for a, b in zip(whole, chunked):
+            multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2)
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 1 << 40)  # one chunk
+        set_cpus(4)
+        self._taped(q, k, v, g, 2, None)
+        assert autodiff._pool is None
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_failed_part_waits_for_the_others(self, monkeypatch, set_cpus, failing):
+        rng = np.random.default_rng(44)
+        q, k, v, g = (rng.normal(size=(6, 4, 8)) for _ in range(4))
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # six chunks, two parts
+        set_cpus(1)
+        expected = self._taped(q, k, v, g, 2, None)
+        set_cpus(2)
+        run_split, finished = autodiff._run_split, []
+
+        def split_with_a_failing_part(fn, chunks):
+            def part(run):
+                if (run[-1] is chunks[-1]) == (failing == "caller"):
+                    raise RuntimeError("part failed")
+                time.sleep(0.2)  # still running when the other part raises
+                fn(run)
+                finished.append(run)
+
+            run_split(part, chunks)
+
+        monkeypatch.setattr(autodiff, "_run_split", split_with_a_failing_part)
+        with pytest.raises(RuntimeError, match="part failed"):
+            multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2)
+        assert len(finished) == 1 and len(finished[0]) == 3
+        monkeypatch.setattr(autodiff, "_run_split", run_split)
+        for a, b in zip(expected, self._taped(q, k, v, g, 2, None)):
             assert np.array_equal(a, b)
-        assert np.array_equal(free, whole[0])
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch, set_cpus):
+        rng = np.random.default_rng(45)
+        q, k, v, g = (rng.normal(size=(9, 4, 8)) for _ in range(4))
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # nine chunks
+        set_cpus(1)
+        expected = self._taped(q, k, v, g, 2, None)
+        set_cpus(3)
+        pools = []
+
+        class CountedPool(autodiff.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(autodiff, "ThreadPoolExecutor", CountedPool)
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(self._taped(q, k, v, g, 2, None))
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(results) == 20 and len(pools) == 1
+        for got in results:
+            for a, b in zip(expected, got):
+                assert np.array_equal(a, b)
 
     def test_shape_errors(self):
         z = Tensor(np.zeros((2, 3, 4)))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sinecast import experiment
+from sinecast import autodiff, experiment
 from sinecast.cli import main
 from sinecast.data import SplitSpec
 from sinecast.errors import ConfigError, TuningError
@@ -259,8 +259,9 @@ class TestRunExperiment:
         assert outcome.report_path.exists()
         assert json.loads(outcome.manifest_path.read_text())["config_hash"] == config_hash(cfg)
 
-    def test_manifest_records_environment_outside_the_hash(self, tmp_path, monkeypatch):
+    def test_manifest_records_environment_outside_the_hash(self, tmp_path, monkeypatch, set_cpus):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        set_cpus(5)
         cfg = load_config(write_config(tmp_path, models=["Persistence"]))
         manifest = json.loads(run_experiment(cfg, out_dir=tmp_path / "out").manifest_path.read_text())
         env = manifest["environment"]
@@ -268,6 +269,7 @@ class TestRunExperiment:
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["num_threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["cpus"] == 5
         assert "environment" not in manifest["config"]
         assert manifest["config_hash"] == config_hash(cfg)
 
@@ -308,13 +310,18 @@ class TestRunExperiment:
         assert a.results_path.read_bytes() == b.results_path.read_bytes()
         assert a.report_path.read_bytes() == b.report_path.read_bytes()
 
-    def test_worker_threads_do_not_change_results(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, models=["SLP", "Linear"]))
+    def test_worker_threads_do_not_change_results(self, tmp_path, set_cpus):
+        # Sencoder's attention splits its batch chunks over a shared pool
+        # while the cell threads run; the reference splits nothing
+        cfg = load_config(write_config(tmp_path, models=["SLP", "Linear", "Sencoder"]))
         import dataclasses
 
+        set_cpus(1)
         seq = run_experiment(cfg, out_dir=tmp_path / "seq")
+        set_cpus(3)
         par = run_experiment(dataclasses.replace(cfg, workers=3), out_dir=tmp_path / "par")
         assert seq.results_path.read_bytes() == par.results_path.read_bytes()
+        assert autodiff._pool is not None
 
     def test_checkpoints_written_on_request(self, tmp_path):
         cfg = load_config(write_config(tmp_path, save_checkpoints=True))
