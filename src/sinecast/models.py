@@ -8,11 +8,11 @@ emit values in [-1, 1] and are meant for standardized data.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
-import math
 import os
+import re
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -482,8 +482,94 @@ def save_checkpoint(model: Forecaster, path) -> None:
         raise
 
 
-def _decode_parameter(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
-    """One saved parameter as a writable float64 array, or a ConfigError naming it."""
+# Bytes per read when loading a checkpoint, in both passes. A multiple of 4,
+# so every block of a base64 string but its last is whole base64 groups.
+_READ_BLOCK = 1 << 18
+
+_QUOTE_OR_BACKSLASH = re.compile(rb'["\\]')
+_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
+
+
+def _is_b64_key(token: bytearray) -> bool:
+    """Whether a JSON string token, quotes included, is the key ``float64_le``."""
+    if token == b'"float64_le"':
+        return True
+    try:
+        return b"\\" in token and json.loads(token) == "float64_le"
+    except ValueError:
+        return False
+
+
+def _scan_checkpoint(fh) -> tuple[bytes, list[tuple[int, int]]]:
+    """Pass 1 of `load_checkpoint`: read `fh` in blocks of `_READ_BLOCK` bytes.
+
+    Returns the file with the content of each ``"float64_le": "..."`` string
+    replaced by that string's index, and each content's (offset, length) in
+    the file. It lexes JSON strings and their escapes, so it finds those
+    values wherever valid JSON puts them, whatever the whitespace or key
+    order; the rest of the file is copied as it is.
+    """
+    skeleton, spans = bytearray(), []
+    state, escaped, offset = "json", False, 0
+    token_start = b64_start = 0
+    while block := fh.read(_READ_BLOCK):
+        i, n = 0, len(block)
+        while i < n:
+            if state == "json":  # copy up to and including the next opening quote
+                j = block.find(b'"', i)
+                if j < 0:
+                    skeleton += block[i:]
+                    i = n
+                    continue
+                skeleton += block[i : j + 1]
+                state, token_start, i = "string", len(skeleton) - 1, j + 1
+            elif state == "string":  # copy up to the closing quote, stepping over escapes
+                if escaped:
+                    skeleton += block[i : i + 1]
+                    escaped, i = False, i + 1
+                    continue
+                m = _QUOTE_OR_BACKSLASH.search(block, i)
+                if m is None:
+                    skeleton += block[i:]
+                    i = n
+                    continue
+                skeleton += block[i : m.end()]
+                i = m.end()
+                if m.group() == b"\\":
+                    escaped = True
+                elif len(skeleton) - token_start < 64 and _is_b64_key(skeleton[token_start:]):
+                    state = "key"
+                else:
+                    state = "json"
+            elif state in ("key", "value"):  # after a float64_le key: its colon, then its opening quote
+                j = _JSON_SPACE.match(block, i).end()
+                skeleton += block[i:j]
+                i = j
+                if i == n:
+                    continue
+                if state == "key" and block[i] == ord(":"):
+                    skeleton += b":"
+                    state, i = "value", i + 1
+                elif state == "value" and block[i] == ord('"'):
+                    skeleton += b'"%d' % len(spans)
+                    state, b64_start, i = "b64", offset + i + 1, i + 1
+                else:
+                    state = "json"
+            else:  # "b64": skip to the closing quote
+                j = block.find(b'"', i)
+                if j < 0:
+                    i = n
+                    continue
+                spans.append((b64_start, offset + j - b64_start))
+                skeleton += b'"'
+                state, i = "json", j + 1
+        offset += n
+    return bytes(skeleton), spans
+
+
+def _read_parameter(fh, name: str, entry, p: Parameter, spans: list[tuple[int, int]]) -> None:
+    """Pass 2 of `load_checkpoint` for one parameter: decode its saved string
+    in blocks straight into ``p.data``, or raise a ConfigError naming it."""
     if not isinstance(entry, dict):
         raise ConfigError(f"checkpoint {name}: entry must be an object")
     if "data" in entry:
@@ -493,50 +579,71 @@ def _decode_parameter(name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
         )
     if "float64_le" not in entry:
         raise ConfigError(f"checkpoint {name}: missing key 'float64_le'")
-    if entry.get("shape") != list(shape):
-        raise ConfigError(f"checkpoint {name}: shape {entry.get('shape')} vs expected {list(shape)}")
-    try:
-        raw = base64.b64decode(entry["float64_le"], validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise ConfigError(f"checkpoint {name}: invalid base64: {exc}") from exc
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise ConfigError(f"checkpoint {name}: {len(raw)} bytes vs expected {expected}")
-    # frombuffer is a read-only view of `raw`; astype makes a native, writable copy
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(arr).all():
+    if entry.get("shape") != list(p.shape):
+        raise ConfigError(f"checkpoint {name}: shape {entry.get('shape')} vs expected {list(p.shape)}")
+    index = entry["float64_le"]
+    if not isinstance(index, str):  # every string value was replaced by its index
+        raise ConfigError(f"checkpoint {name}: invalid base64: a {type(index).__name__}, not a string")
+    offset, length = spans[int(index)]
+    out = memoryview(p.data).cast("B")  # a Parameter's data is C-contiguous float64
+    written = 0
+    fh.seek(offset)
+    for start in range(0, length, _READ_BLOCK):
+        chars = fh.read(min(_READ_BLOCK, length - start))
+        try:
+            if start + _READ_BLOCK < length and chars.endswith(b"="):
+                raise binascii.Error("padding before the end of the string")
+            raw = binascii.a2b_base64(chars, strict_mode=True)
+        except binascii.Error as exc:
+            raise ConfigError(f"checkpoint {name}: invalid base64: {exc}") from exc
+        if written + len(raw) <= out.nbytes:
+            out[written : written + len(raw)] = raw
+        written += len(raw)
+    if written != out.nbytes:
+        raise ConfigError(f"checkpoint {name}: {written} bytes vs expected {out.nbytes}")
+    if sys.byteorder == "big":  # the saved bytes are little-endian
+        p.data.byteswap(inplace=True)
+    if not np.isfinite(p.data).all():
         raise ConfigError(f"checkpoint {name}: non-finite values")
-    return arr
 
 
 def load_checkpoint(path) -> Forecaster:
     """Rebuild a saved model; a file that is not a checkpoint object,
     unknown config keys, malformed parameter entries and non-finite values
-    are rejected with a ConfigError."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"checkpoint {path}: not a JSON file: {exc}") from exc
-    if not (
-        isinstance(payload, dict)
-        and isinstance(payload.get("config"), dict)
-        and isinstance(payload.get("parameters"), dict)
-    ):
-        raise ConfigError(f"checkpoint {path}: expected a JSON object with 'config' and 'parameters' objects")
-    wrong_type = [k for k, v in payload["config"].items() if type(v) is not (str if k == "variant" else int)]
-    if wrong_type:
-        raise ConfigError(f"checkpoint {path}: config {sorted(wrong_type)} must be integers (variant a string)")
-    try:
-        config = ModelConfig(**payload["config"])
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"checkpoint {path}: config: {exc}") from exc
-    model = Forecaster(config)
-    saved = payload["parameters"]
-    if set(saved) != set(model.params):
-        missing = set(model.params) - set(saved)
-        extra = set(saved) - set(model.params)
-        raise ConfigError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-    for name, entry in saved.items():
-        p = model.params[name]
-        p.data = _decode_parameter(name, entry, p.shape)
+    are rejected with a ConfigError.
+
+    The file is read in two passes of `_READ_BLOCK`-byte blocks, mirroring
+    `save_checkpoint`. The first parses everything but the parameters'
+    base64 strings, and every check of config, names and shapes runs on
+    that. The second decodes each string in blocks straight into the data
+    buffer of the freshly built model's parameter, so no parameter-sized
+    string, bytes or array copy is made.
+    """
+    with open(path, "rb") as fh:
+        skeleton, spans = _scan_checkpoint(fh)
+        try:
+            payload = json.loads(skeleton.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"checkpoint {path}: not a JSON file: {exc}") from exc
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("config"), dict)
+            and isinstance(payload.get("parameters"), dict)
+        ):
+            raise ConfigError(f"checkpoint {path}: expected a JSON object with 'config' and 'parameters' objects")
+        wrong_type = [k for k, v in payload["config"].items() if type(v) is not (str if k == "variant" else int)]
+        if wrong_type:
+            raise ConfigError(f"checkpoint {path}: config {sorted(wrong_type)} must be integers (variant a string)")
+        try:
+            config = ModelConfig(**payload["config"])
+        except (TypeError, ConfigError) as exc:
+            raise ConfigError(f"checkpoint {path}: config: {exc}") from exc
+        model = Forecaster(config)
+        saved = payload["parameters"]
+        if set(saved) != set(model.params):
+            missing = set(model.params) - set(saved)
+            extra = set(saved) - set(model.params)
+            raise ConfigError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        for name, entry in saved.items():
+            _read_parameter(fh, name, entry, model.params[name], spans)
     return model

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sinecast import autodiff
@@ -630,6 +630,9 @@ def test_composite_gradient_property(seed):
         pred = dense(h, w2)
         return (pred - y).abs().mean() + (w2 * w2).sum() * 1e-2
 
+    # a residual near 0 lets the finite-difference step cross the kink of `abs`
+    residual = dense(dense(x, w1, b1).sin(), w2).data - y.data
+    assume(np.all(np.abs(residual) > 1e-3))
     loss_val = loss()
     backward(loss_val)
     for p in (w1, b1, w2):

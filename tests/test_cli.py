@@ -182,6 +182,16 @@ class TestPlot:
         assert code == 2
         assert "holds SLP" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, save_checkpoints=True)
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "sine_SLP_24.json"
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        code = run_cli(["plot", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "t.svg")])
+        assert code == 2
+        assert f"error: checkpoint {ckpt}" in capsys.readouterr().err
+
     def test_garbage_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         ckpt = tmp_path / "garbage.json"

@@ -559,6 +559,7 @@ class TestCheckpoints:
 
     def test_block_is_a_whole_number_of_base64_groups(self):
         assert models._B64_BLOCK % 3 == 0
+        assert models._READ_BLOCK % 4 == 0
 
     def test_save_replaces_an_earlier_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -587,6 +588,107 @@ class TestCheckpoints:
         assert len(calls) == 3
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
+
+    def _saved(self, tmp_path, variant="Linear"):
+        m = Forecaster(toy_config(variant, channels=2, seed=21))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        return m, path
+
+    def _assert_loads_identically(self, path, m):
+        loaded = load_checkpoint(path)
+        assert loaded.config == m.config
+        assert loaded.params.keys() == m.params.keys()
+        for name, p in m.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+            assert loaded.params[name].shape == p.shape, name
+
+    @pytest.mark.parametrize("block", [4, 8])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip_across_read_blocks(self, tmp_path, monkeypatch, variant, block):
+        # 4- and 8-byte reads split every key, marker and base64 string across blocks
+        monkeypatch.setattr(models, "_READ_BLOCK", block)
+        m, path = self._saved(tmp_path, variant)
+        self._assert_loads_identically(path, m)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda payload: json.dumps(payload, indent=1),
+            lambda payload: json.dumps(
+                {
+                    "parameters": {
+                        name: {"float64_le": e["float64_le"], "shape": e["shape"]}
+                        for name, e in payload["parameters"].items()
+                    },
+                    "config": payload["config"],
+                }
+            ),
+            lambda payload: json.dumps(payload).replace('"float64_le"', '"float64\\u005fle"'),
+            lambda payload: json.dumps(
+                {
+                    **payload,
+                    "parameters": {
+                        name: {"note": 'a \\ "float64_le": "', **e} for name, e in payload["parameters"].items()
+                    },
+                }
+            ),
+        ],
+        ids=["indented", "float64_le-before-shape", "escaped-key", "escaped-quotes-in-a-string"],
+    )
+    @pytest.mark.parametrize("block", [4, None])
+    def test_reader_depends_on_the_json_only(self, tmp_path, monkeypatch, rewrite, block):
+        if block is not None:
+            monkeypatch.setattr(models, "_READ_BLOCK", block)
+        m, path = self._saved(tmp_path, "MLP")
+        path.write_text(rewrite(json.loads(path.read_text())))
+        self._assert_loads_identically(path, m)
+
+    @pytest.mark.parametrize("cut", ['"variant"', '"float64_le": "'], ids=["in-config", "in-base64"])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        m, path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(cut.encode()) + len(cut) + 5])
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block", [4, None])
+    def test_padding_before_the_end_rejected(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(models, "_READ_BLOCK", block)
+
+        def pad_after_first_byte(entry, w):
+            # the right byte count, but a padded group before the last one
+            raw = w.astype("<f8").tobytes()
+            entry["float64_le"] = (base64.b64encode(raw[:1]) + base64.b64encode(raw[1:])).decode()
+
+        path = self._tampered(tmp_path, pad_after_first_byte)
+        with pytest.raises(ConfigError, match="checkpoint w: invalid base64"):
+            load_checkpoint(path)
+
+    def test_json_escape_in_base64_string_rejected(self, tmp_path):
+        m, path = self._saved(tmp_path)
+        text = path.read_text()
+        start = text.index('"float64_le": "') + len('"float64_le": "')
+        path.write_text(f"{text[:start]}\\u{ord(text[start]):04x}{text[start + 1:]}")
+        assert json.loads(path.read_text()) == json.loads(text)
+        with pytest.raises(ConfigError, match="invalid base64"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("variant", ["Linear", "MLP"])
+    def test_load_allocates_no_parameter_sized_copy(self, tmp_path, variant):
+        config = ModelConfig(variant=variant, input_len=720, horizon=720, channels=1)
+        path = tmp_path / "model.json"
+        save_checkpoint(Forecaster(config), path)
+        peaks = []
+        for build in (lambda: Forecaster(config), lambda: load_checkpoint(path)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1_000_000, peaks
 
     def test_save_allocates_no_parameter_sized_copy(self, tmp_path):
         m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
