@@ -19,10 +19,12 @@ needs: :func:`dense` is the only matrix product (a layer's weight and bias in
 one node), :func:`layer_norm_rows` a whole normalization and
 :func:`multi_head_attention` a whole attention site.
 
-The attention op is the one place that runs on more than one thread: it
-splits its batch chunks into one part per CPU the process may use, and each
-part writes its own slices of preallocated arrays, so the results do not
-depend on the CPU count.
+Two places run on more than one thread, both through :func:`_run_split`:
+the attention op splits its batch chunks, and ``evaluation.evaluate`` its
+scoring batches, into one part per CPU the process may use. Each part writes
+only its own slices or slots, so the results do not depend on the CPU count.
+A split called inside a part runs inline, as one part: attention inside a
+scoring part does not split again.
 """
 
 from __future__ import annotations
@@ -55,14 +57,18 @@ _grad_mode = threading.local()
 _CHUNK_BYTES = 1 << 18
 
 # The CPUs this process may run on (`taskset` narrows them): attention splits
-# its batch chunks into at most this many parts. Not *_NUM_THREADS, which
-# size BLAS's own threads; this split is not BLAS threading.
+# its batch chunks, and scoring its batches, into at most this many parts.
+# Not *_NUM_THREADS, which size BLAS's own threads; this split is not BLAS
+# threading.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Runs every part but the caller's own, for all threads of the process
 # (--workers cell threads included), so compute threads never exceed
-# workers + _CPUS - 1. Created on first use; parts never submit to it.
+# workers + _CPUS - 1. Created on first use. Parts never submit to it: a
+# part that did and waited could be waiting on itself, on the one worker.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# Set on a thread while it runs one of several parts; a split made there runs inline.
+_in_part = threading.local()
 
 
 @contextmanager
@@ -310,6 +316,14 @@ class Parameter(Tensor):
         self.name = name
         self.is_bias = is_bias
 
+    @classmethod
+    def _unset(cls, shape: tuple[int, ...], name: str) -> "Parameter":
+        """A parameter whose buffer is allocated but not written, for a loader
+        that fills and checks every element before anything reads it."""
+        p = cls(np.empty(0), name)
+        p.data = np.empty(shape)
+        return p
+
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
 
@@ -396,7 +410,8 @@ def multi_head_attention(
     `_CHUNK_BYTES`) stays in cache while the softmax passes run over it in
     place; the heads run one at a time within each chunk. The chunks are
     split into contiguous parts, one part per CPU the process may use (at
-    most one part per chunk): the calling thread runs the last part and a
+    most one part per chunk, and one part inside a part of another split,
+    such as a scoring batch): the calling thread runs the last part and a
     shared thread pool the others, and each part writes only its own chunks'
     slices. For backward the graph keeps only the probabilities P, one
     [batch, m, n] array per head (separate arrays, not one [H, ...] array: at
@@ -488,12 +503,20 @@ def multi_head_attention(
     return out
 
 
-def _attention_pool() -> ThreadPoolExecutor:
+def _split_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="sinecast-attention")
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="sinecast-split")
         return _pool
+
+
+def _run_part(fn, run: list) -> None:
+    _in_part.on = True
+    try:
+        fn(run)
+    finally:
+        _in_part.on = False
 
 
 def _run_split(fn, chunks: list) -> None:
@@ -503,16 +526,20 @@ def _run_split(fn, chunks: list) -> None:
     submitted run has finished before this returns or raises, so none is
     still writing into the caller's arrays; an exception from any run is
     re-raised. With one part no pool is created and no thread started.
+    Reentrant: called from inside a part (of any split, on any thread), it
+    calls `fn` on all of `chunks` inline, so a part never waits on the pool.
     """
-    parts = max(1, min(_CPUS, len(chunks)))
+    parts = 1 if getattr(_in_part, "on", False) else max(1, min(_CPUS, len(chunks)))
+    if parts == 1:
+        fn(chunks)
+        return
     bounds = [len(chunks) * i // parts for i in range(parts + 1)]
     futures = []
     try:
-        if parts > 1:
-            pool = _attention_pool()
-            for lo, hi in zip(bounds[:-2], bounds[1:-1]):
-                futures.append(pool.submit(fn, chunks[lo:hi]))
-        fn(chunks[bounds[-2]:])
+        pool = _split_pool()
+        for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+            futures.append(pool.submit(_run_part, fn, chunks[lo:hi]))
+        _run_part(fn, chunks[bounds[-2]:])
     finally:
         wait(futures)
     for f in futures:

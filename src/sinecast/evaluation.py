@@ -11,7 +11,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, _run_split, no_grad
 from .data import WindowDataset
 from .errors import ConfigError, ShapeError
 from .models import Forecaster
@@ -59,19 +59,37 @@ def evaluate(
     dataset_name: str = "",
     batch_size: int = 256,
 ) -> EvalResult:
-    """MAE of the frozen model over every test window, computed in batches."""
+    """MAE of the frozen model over every test window, computed in batches.
+
+    The batches are split into contiguous runs, one per CPU the process may
+    use (``autodiff._run_split``), and each run gathers and scores its
+    batches one at a time, so a run holds one batch at once. Each batch's
+    absolute-error sum and count go into its own slot, and the slots are
+    added in batch order, so the MAE is bit-identical to a serial loop over
+    the batches whatever the CPU count. It does depend on `batch_size`: each
+    batch's sum is rounded before it is added.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     n = len(test)
     if n == 0:
         raise ConfigError(f"evaluate: empty test set for {dataset_name or model.config.variant}")
+    starts = list(range(0, n, batch_size))
+    slots: list[tuple[float, int]] = [(0.0, 0)] * len(starts)
+
+    def score(run):
+        with no_grad():  # per thread: a pool thread must enter it itself
+            for lo in run:
+                xb, yb = test.gather(np.arange(lo, min(lo + batch_size, n)))
+                pred = model(Tensor(xb)).data
+                slots[lo // batch_size] = (float(np.abs(pred - yb).sum()), yb.size)
+
+    _run_split(score, starts)
     abs_sum = 0.0
     count = 0
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
-        xb, yb = test.gather(idx)
-        with no_grad():
-            pred = model(Tensor(xb)).data
-        abs_sum += float(np.abs(pred - yb).sum())
-        count += yb.size
+    for batch_sum, batch_count in slots:
+        abs_sum += batch_sum
+        count += batch_count
     return EvalResult(
         dataset=dataset_name,
         model=model.config.variant,

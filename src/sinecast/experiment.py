@@ -177,8 +177,11 @@ class ExperimentConfig:
     def train_config(self, variant: str) -> TrainConfig:
         eval_batch = self.eval_batch_size
         if variant in ATTENTION_MODELS:
-            # Batched evaluation is exact, so capping the eval batch only
-            # bounds memory, never changes the score.
+            # Caps the memory of scoring a batch. It can move a score's last
+            # digits, since each batch's error sum is rounded before it is
+            # added: the demo's Linear@96 scores ...664 at batch sizes 7 and
+            # 32 but ...666 at 256 and at all 505 windows. The cap stays,
+            # because removing it would change results.csv.
             eval_batch = min(eval_batch, self.batch_size)
         return TrainConfig(
             schedule=LrSchedule(self.lr_start, self.lr_end, self.epochs),
@@ -383,9 +386,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _environment() -> dict:
     """What results.csv is byte-identical under: the Python, numpy and BLAS
-    builds and the BLAS thread settings. Also the CPU count attention splits
-    its batch chunks over, which changes speed, not results. Recorded in the
-    manifest, not hashed."""
+    builds and the BLAS thread settings. Also the CPU count that attention
+    splits its batch chunks and scoring its batches over, which changes
+    speed, not results. Recorded in the manifest, not hashed."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
@@ -447,12 +450,14 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
     into one part per CPU, and each part works on one chunk and head at a
     time, so their transients (the score block, dP overwritten into dS, and
     dS * P) are one chunk per part: at most 256 KB each, or one [T, T] array
-    when that is larger. The factor 4 per head and site covers the
-    probabilities with room to spare. The projection, feed-forward and
-    layer-norm activations are not counted, so at short horizons a step's
-    measured peak can exceed this estimate (a B=32 step's tracemalloc peak
-    over this estimate: Sencoder 0.74 at T=96, 0.49 at 192, 0.39 at 336;
-    Sinformer 0.60 at 96). Non-attention models return 0.
+    when that is larger. Scoring, which keeps no probabilities, holds one
+    batch per CPU, each running its attention as one part. The factor 4 per
+    head and site covers the probabilities with room to spare. The
+    projection, feed-forward and layer-norm activations are not counted, so
+    at short horizons a step's measured peak can exceed this estimate (a
+    B=32 step's tracemalloc peak over this estimate: Sencoder 0.74 at T=96,
+    0.49 at 192, 0.39 at 336; Sinformer 0.60 at 96). Non-attention models
+    return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

@@ -227,22 +227,35 @@ class Forecaster:
 
     Parameters are created deterministically from config.seed, weights
     uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero, layer-norm
-    gains one.
+    gains one. ``load_checkpoint`` builds the same parameters with the
+    weights allocated but not drawn, and fills every one from the file.
     """
 
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    @classmethod
+    def _unset(cls, config: ModelConfig) -> "Forecaster":
+        """The model with uninitialised weights, for `load_checkpoint` to fill."""
+        model = cls.__new__(cls)
+        model._build(config, None)
+        return model
+
+    def _build(self, config: ModelConfig, rng: np.random.Generator | None) -> None:
         self.config = config
         self.params: dict[str, Parameter] = {}
-        self._rng = np.random.default_rng(config.seed)
-        build = getattr(self, f"_build_{config.variant.lower()}")
-        build()
+        self._rng = rng
+        getattr(self, f"_build_{config.variant.lower()}")()
         del self._rng
 
     # -- parameter construction -------------------------------------------
 
     def _weight(self, name: str, out_dim: int, in_dim: int) -> Parameter:
-        bound = 1.0 / np.sqrt(in_dim)
-        p = Parameter(self._rng.uniform(-bound, bound, size=(out_dim, in_dim)), name)
+        if self._rng is None:
+            p = Parameter._unset((out_dim, in_dim), name)
+        else:
+            bound = 1.0 / np.sqrt(in_dim)
+            p = Parameter(self._rng.uniform(-bound, bound, size=(out_dim, in_dim)), name)
         self.params[name] = p
         return p
 
@@ -615,9 +628,11 @@ def load_checkpoint(path) -> Forecaster:
     The file is read in two passes of `_READ_BLOCK`-byte blocks, mirroring
     `save_checkpoint`. The first parses everything but the parameters'
     base64 strings, and every check of config, names and shapes runs on
-    that. The second decodes each string in blocks straight into the data
-    buffer of the freshly built model's parameter, so no parameter-sized
-    string, bytes or array copy is made.
+    that. The model is built with its weights allocated but not drawn, and
+    the second pass decodes each string in blocks straight into the data
+    buffer of its parameter, so no parameter-sized string, bytes or array
+    copy is made and no random weight is drawn. Every parameter is filled
+    and checked before the model is returned.
     """
     with open(path, "rb") as fh:
         skeleton, spans = _scan_checkpoint(fh)
@@ -638,7 +653,7 @@ def load_checkpoint(path) -> Forecaster:
             config = ModelConfig(**payload["config"])
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"checkpoint {path}: config: {exc}") from exc
-        model = Forecaster(config)
+        model = Forecaster._unset(config)
         saved = payload["parameters"]
         if set(saved) != set(model.params):
             missing = set(model.params) - set(saved)

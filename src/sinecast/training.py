@@ -214,6 +214,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.eval_batch_size < 1:
+            raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         if self.loss not in ("mae", "mse"):
             raise ConfigError(f"loss must be 'mae' or 'mse', got {self.loss!r}")
 
@@ -290,6 +292,7 @@ def train_model(
             loss_sum += base.item() * len(xb)
             window_count += len(xb)
 
+        del pred, err, base, loss  # the last step's graph is not kept through validation
         train_loss = loss_sum / window_count
         digest_before = _state_digest(state)
         val_mae = evaluate(model, val, dataset_name="val", batch_size=cfg.eval_batch_size).mae

@@ -7,7 +7,8 @@ from sinecast import autodiff
 
 @pytest.fixture
 def set_cpus(monkeypatch):
-    """Set `autodiff._CPUS`, with a fresh attention pool sized from it.
+    """Set `autodiff._CPUS`, with a fresh pool sized from it, for the
+    attention and scoring splits.
 
     Each call shuts down the pool the previous count created; the last one is
     shut down after the test, and the session's pool is restored.

@@ -1,9 +1,13 @@
 """Metrics and improvement aggregation."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from sinecast.autodiff import Tensor
+from sinecast import autodiff
+from sinecast.autodiff import Tensor, no_grad
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError, ShapeError
 from sinecast.evaluation import (
@@ -12,7 +16,41 @@ from sinecast.evaluation import (
     mae,
     mean_improvements,
 )
-from sinecast.models import Forecaster, ModelConfig
+from sinecast.models import VARIANTS, Forecaster, ModelConfig
+
+
+def serial_mae(model, ds, batch_size):
+    """The scoring loop on one thread, batch by batch."""
+    abs_sum, count = 0.0, 0
+    for lo in range(0, len(ds), batch_size):
+        xb, yb = ds.gather(np.arange(lo, min(lo + batch_size, len(ds))))
+        with no_grad():
+            pred = model(Tensor(xb)).data
+        abs_sum += float(np.abs(pred - yb).sum())
+        count += yb.size
+    return abs_sum / count
+
+
+def small_model(variant, channels=2):
+    return Forecaster(ModelConfig(variant=variant, input_len=16, horizon=8, channels=channels,
+                                  d_model=8, n_heads=2, ffn_dim=8, ma_kernel=3, seed=5))
+
+
+class Windows:
+    """A test set whose gather sleeps, or fails at one batch, and records the batches it served."""
+
+    def __init__(self, ds, fail_at):
+        self.ds, self.fail_at, self.done = ds, fail_at, []
+
+    def __len__(self):
+        return len(self.ds)
+
+    def gather(self, idx):
+        if idx[0] == self.fail_at:
+            raise RuntimeError("batch failed")
+        time.sleep(0.1)
+        self.done.append(int(idx[0]))
+        return self.ds.gather(idx)
 
 
 class TestMae:
@@ -84,6 +122,70 @@ class TestEvaluate:
         expected = np.abs(taped.data - yb).sum() / yb.size
         assert evaluate(model, ds, batch_size=len(ds)).mae == expected
         assert model(Tensor(xb)).requires_grad
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        ds = make_windows(self._periodic(), input_len=16, horizon=8)
+        model = Forecaster(ModelConfig(variant="Persistence", input_len=16, horizon=8, channels=1))
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, ds, batch_size=batch_size)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_split_scores_equal_the_serial_loop(self, monkeypatch, set_cpus, variant):
+        table = TimeSeriesTable(name="r", values=np.random.default_rng(6).normal(size=(48, 2)))
+        ds = make_windows(table, input_len=16, horizon=8)
+        assert len(ds) == 25
+        model = small_model(variant)
+        # one attention chunk per window, so attention inside a part has chunks to split
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 8 * 8 * 8)
+        set_cpus(1)
+        # one batch, two, and an odd number (five)
+        expected = {b: serial_mae(model, ds, b) for b in (25, 13, 5)}
+        for cpus in (1, 2, 3, 8):
+            set_cpus(cpus)
+            for b, want in expected.items():
+                assert evaluate(model, ds, batch_size=b).mae == want, (cpus, b)
+
+    def test_attention_inside_a_part_submits_nothing(self, monkeypatch, set_cpus):
+        table = TimeSeriesTable(name="r", values=np.random.default_rng(7).normal(size=(60, 1)))
+        ds = make_windows(table, input_len=16, horizon=8)
+        model = small_model("Sencoder", channels=1)
+        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 8 * 8 * 8)  # one chunk per window
+        set_cpus(1)
+        expected = serial_mae(model, ds, 8)
+        set_cpus(2)
+        submitted = []
+
+        class CheckedPool(autodiff.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                # a part that submitted and waited could wait on itself; fail instead of hanging
+                in_part = getattr(autodiff._in_part, "on", False)
+                if in_part or threading.current_thread().name.startswith("sinecast-split"):
+                    raise AssertionError("a part submitted to the pool")
+                submitted.append(args[0])
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "ThreadPoolExecutor", CheckedPool)
+        got = []
+        scorer = threading.Thread(target=lambda: got.append(evaluate(model, ds, batch_size=8).mae), daemon=True)
+        scorer.start()
+        scorer.join(timeout=60)
+        assert not scorer.is_alive(), "scoring deadlocked"
+        assert got == [expected]
+        assert len(submitted) == 1  # the scoring split's one pool part
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_failed_batch_waits_for_the_other_part(self, set_cpus, failing):
+        table = TimeSeriesTable(name="r", values=np.random.default_rng(8).normal(size=(47, 1)))
+        ds = make_windows(table, input_len=16, horizon=8)
+        assert len(ds) == 24
+        model = small_model("Linear", channels=1)
+        set_cpus(2)
+        # batches 0 and 6 run on the pool, 12 and 18 on the calling thread
+        windows = Windows(ds, fail_at=12 if failing == "caller" else 0)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            evaluate(model, windows, batch_size=6)
+        assert sorted(windows.done) == ([0, 6] if failing == "caller" else [12, 18])
 
     def test_empty_test_rejected(self):
         table = self._periodic(20)

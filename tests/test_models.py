@@ -690,6 +690,35 @@ class TestCheckpoints:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 1_000_000, peaks
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_load_draws_no_weights_and_restores_the_saved_bytes(self, tmp_path, monkeypatch, variant):
+        m = Forecaster(toy_config(variant, channels=2, seed=21))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        assert list(loaded.params) == list(m.params)
+        for name, p in m.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+            assert loaded.params[name].is_bias == p.is_bias
+
+    def test_load_peak_is_the_parameters(self, tmp_path):
+        # no drawn weight beside the buffer it is copied into
+        m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.params["w"].data.nbytes + 1_000_000, peak
+
     def test_save_allocates_no_parameter_sized_copy(self, tmp_path):
         m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
         assert m.params["w"].data.nbytes > 4_000_000

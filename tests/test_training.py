@@ -1,6 +1,7 @@
 """Learning-rate schedule, Adam updates, elastic net, and full training runs."""
 
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -391,6 +392,32 @@ class TestTrainModel:
         return TrainConfig(
             schedule=LrSchedule(1e-3, 1e-6, n_epochs), batch_size=32, seed=seed
         )
+
+    @pytest.mark.parametrize("eval_batch_size", [0, -1])
+    def test_eval_batch_size_below_one_rejected(self, eval_batch_size):
+        with pytest.raises(ConfigError, match="eval_batch_size"):
+            TrainConfig(eval_batch_size=eval_batch_size)
+
+    @pytest.mark.parametrize("variant", ["Linear", "Sencoder"])
+    def test_last_step_graph_freed_before_validation(self, monkeypatch, variant):
+        train, val = self._datasets(input_len=8, horizon=8)
+        model = Forecaster(ModelConfig(variant=variant, input_len=8, horizon=8, channels=1,
+                                       d_model=8, n_heads=2, ffn_dim=8, seed=2))
+        losses, alive_at_validation = [], []
+        real_backward, real_evaluate = training.backward, training.evaluate
+
+        def recording_backward(loss):
+            losses.append(weakref.ref(loss))
+            real_backward(loss)
+
+        def checking_evaluate(*args, **kwargs):
+            alive_at_validation.append(losses[-1]() is not None)
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        monkeypatch.setattr(training, "evaluate", checking_evaluate)
+        train_model(model, train, val, self._config(n_epochs=2))
+        assert alive_at_validation == [False, False]
 
     def test_persistence_is_not_trainable(self):
         train, val = self._datasets()
