@@ -22,6 +22,7 @@ from pathlib import Path
 from .data import make_windows
 from .errors import SinecastError
 from .experiment import (
+    Cell,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -145,10 +146,8 @@ def _cmd_plot(args) -> int:
     else:
         out = _resolve_out(None, cfg) / "plots"
         out.mkdir(parents=True, exist_ok=True)
-        out = out / (
-            f"{cfg.source.name}_{model.config.variant}_{model.config.horizon}"
-            f"_w{args.window_index}.svg"
-        )
+        cell = Cell(cfg.source.name, model.config.variant, model.config.horizon, model.config.seed)
+        out = out / f"{cell.stem}_w{args.window_index}.svg"
     emit_forecast_plot(
         model,
         test_ds,

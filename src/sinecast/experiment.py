@@ -1,11 +1,13 @@
 """Benchmark harness: config files, run grids, tuning, artifacts.
 
 One experiment is a dataset, a split, a list of horizons, and a list of
-models. `run_experiment` trains and scores every (model, horizon) cell,
-always scoring the copy-forward baseline first at each horizon so that
+models. Each grid cell is a `Cell`: a model at a horizon on the dataset,
+trained from the config's seed. `run_experiment` trains and scores every
+cell, always scoring the copy-forward baseline first at each horizon so that
 improvements can be computed, and writes three artifacts into the output
 directory: results.csv (byte-deterministic), report.md, and manifest.json
-(the only file that carries wall-clock information).
+(the only file that carries wall-clock information). `tune` trains its
+candidates through the same code as the cells of `run_experiment`.
 
 Failures are isolated: a cell that raises records an error row and the grid
 keeps going. Attention models whose estimated score buffers exceed the
@@ -14,7 +16,6 @@ memory budget are skipped up front rather than attempted.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -34,7 +35,6 @@ from . import __version__, autodiff, synthetic
 from .data import (
     SplitSpec,
     TimeSeriesTable,
-    WindowDataset,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -44,12 +44,13 @@ from .data import (
 from .errors import ConfigError, SinecastError, TuningError
 from .evaluation import evaluate, improvement
 from .models import VARIANTS, Forecaster, ModelConfig, save_checkpoint
-from .reporting import write_report, write_results_csv
-from .training import LrSchedule, TrainConfig, TrainReport, train_model
+from .reporting import _write_csv, status_counts, write_report, write_results_csv
+from .training import LrSchedule, TrainConfig, train_model
 
 __all__ = [
     "DatasetSource",
     "ExperimentConfig",
+    "Cell",
     "RunRecord",
     "ExperimentOutcome",
     "TuneOutcome",
@@ -156,6 +157,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tuning.train_portions must lie in (0, 1], got {list(self.tuning_train_portions)}"
             )
+        # each value names its own cells, so a repeat would train them twice
+        for key, values in (("horizons", self.horizons),
+                            ("tuning.input_lens", self.tuning_input_lens),
+                            ("tuning.train_portions", self.tuning_train_portions)):
+            if values and len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
         if min(self.eval_batch_size, self.stride, self.eval_stride, self.workers) < 1:
             raise ConfigError("eval_batch_size, strides, and workers must be >= 1")
         if self.memory_budget_mb <= 0:
@@ -192,6 +199,30 @@ class ExperimentConfig:
         )
 
 
+def _slug(text: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "series"
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One grid cell: a model at a horizon on a dataset, trained from a seed."""
+
+    dataset: str
+    model: str
+    horizon: int
+    seed: int
+
+    @property
+    def stem(self) -> str:
+        """File name stem of the cell's training log, checkpoint and plots."""
+        return f"{_slug(self.dataset)}_{self.model}_{self.horizon}"
+
+    @property
+    def key(self) -> str:
+        """The cell's key in the manifest's run_seconds."""
+        return f"{self.dataset}/{self.model}/{self.horizon}"
+
+
 @dataclass
 class RunRecord:
     dataset: str
@@ -218,7 +249,7 @@ class ExperimentOutcome:
 
     @property
     def n_errors(self) -> int:
-        return sum(r.status == "error" for r in self.records)
+        return status_counts(r.status for r in self.records)["error"]
 
 
 @dataclass
@@ -466,10 +497,6 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
 # -- the run grid -----------------------------------------------------------
 
 
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "series"
-
-
 def prepared_segments(cfg: ExperimentConfig):
     """Split, standardize, and trim the configured dataset.
 
@@ -488,11 +515,12 @@ def prepared_segments(cfg: ExperimentConfig):
 
 
 def _resolve_out_dir(cfg: ExperimentConfig, out_dir) -> Path:
+    """The output directory, created with its logs/ subdirectory."""
     chosen = out_dir if out_dir is not None else cfg.out_dir
     if chosen is None or str(chosen) == "":
         raise ConfigError("no output directory: pass out_dir or set 'out_dir' in the config")
     p = Path(chosen)
-    p.mkdir(parents=True, exist_ok=True)
+    (p / "logs").mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -508,78 +536,73 @@ def _over_budget(cfg: ExperimentConfig, variant: str, horizon: int, n_train: int
     )
 
 
-def _failure(exc: Exception) -> str:
-    """The reason a failed cell or tuning candidate records."""
-    if isinstance(exc, SinecastError):
-        return str(exc)
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _fit(
+def _attempt(
     cfg: ExperimentConfig,
-    variant: str,
-    horizon: int,
+    cell: Cell,
     input_len: int,
-    train_ds: WindowDataset,
+    train_t: TimeSeriesTable,
     val_t: TimeSeriesTable,
     log_path: Path,
-) -> tuple[Forecaster, TrainReport]:
-    """Build a model and train it; it comes back with its best validation epoch restored."""
-    model = Forecaster(cfg.model_config(variant, horizon, input_len, val_t.n_channels))
-    val_ds = make_windows(val_t, input_len, horizon, cfg.eval_stride)
-    return model, train_model(model, train_ds, val_ds, cfg.train_config(variant), log_path=log_path)
+    finish,
+) -> tuple[str, str]:
+    """Train one cell and pass the model and its training report to `finish`.
+
+    A trained model's windows are made first; the memory guard then skips the
+    cell, or the model is fitted and comes back with its best validation
+    epoch restored. Persistence trains nothing, and its report is None. Any
+    exception, `finish`'s included, becomes an error. Returns the status
+    ("ok", "skipped" or "error") and its reason.
+    """
+    try:
+        config = cfg.model_config(cell.model, cell.horizon, input_len, val_t.n_channels)
+        if cell.model == "Persistence":
+            model, report = Forecaster(config), None
+        else:
+            train_ds = make_windows(train_t, input_len, cell.horizon, cfg.stride)
+            skip = _over_budget(cfg, cell.model, cell.horizon, len(train_ds))
+            if skip:
+                return "skipped", skip
+            model = Forecaster(config)
+            val_ds = make_windows(val_t, input_len, cell.horizon, cfg.eval_stride)
+            report = train_model(model, train_ds, val_ds, cfg.train_config(cell.model), log_path=log_path)
+        finish(model, report)
+    except SinecastError as exc:  # keep going, the row carries the cause
+        return "error", str(exc)
+    except Exception as exc:
+        return "error", f"{type(exc).__name__}: {exc}"
+    return "ok", ""
 
 
 def _run_cell(
     cfg: ExperimentConfig,
-    variant: str,
-    horizon: int,
+    cell: Cell,
     train_t: TimeSeriesTable,
     val_t: TimeSeriesTable,
     test_t: TimeSeriesTable,
     out: Path,
 ) -> tuple[RunRecord, float]:
-    dataset = cfg.source.name
-    input_len = horizon if variant == "Persistence" else (cfg.input_len or horizon)
-    record = RunRecord(
-        dataset=dataset,
-        model=variant,
-        horizon=horizon,
-        input_len=input_len,
-        train_portion=cfg.train_portion,
-        seed=cfg.seed,
-        status="ok",
-    )
+    input_len = cell.horizon if cell.model == "Persistence" else (cfg.input_len or cell.horizon)
+    record = RunRecord(**dataclasses.asdict(cell), input_len=input_len,
+                       train_portion=cfg.train_portion, status="ok")
     started = time.perf_counter()
-    stem = f"{_slug(dataset)}_{variant}_{horizon}"
-    try:
-        best_epoch = None
-        if variant == "Persistence":
-            model = Forecaster(cfg.model_config(variant, horizon, input_len, test_t.n_channels))
-        else:
-            train_ds = make_windows(train_t, input_len, horizon, cfg.stride)
-            skip = _over_budget(cfg, variant, horizon, len(train_ds))
-            if skip:
-                record.status, record.reason = "skipped", skip
-                return record, time.perf_counter() - started
-            model, report = _fit(cfg, variant, horizon, input_len, train_ds, val_t,
-                                 out / "logs" / f"{stem}.csv")
-            best_epoch = report.best_epoch
-        test_ds = make_windows(test_t, input_len, horizon, cfg.eval_stride)
+
+    def score(model, report):
+        test_ds = make_windows(test_t, input_len, cell.horizon, cfg.eval_stride)
         result = evaluate(model, test_ds, dataset_name=test_t.name,
-                          batch_size=cfg.train_config(variant).eval_batch_size)
-        if cfg.save_checkpoints and variant != "Persistence":
-            save_checkpoint(model, out / "checkpoints" / f"{stem}.json")
-        record.mae, record.n_windows, record.best_epoch = result.mae, result.n_windows, best_epoch
-    except Exception as exc:  # keep the grid going, the row carries the cause
-        record.status, record.reason = "error", _failure(exc)
+                          batch_size=cfg.train_config(cell.model).eval_batch_size)
+        if cfg.save_checkpoints and cell.model != "Persistence":
+            save_checkpoint(model, out / "checkpoints" / f"{cell.stem}.json")
+        record.mae, record.n_windows = result.mae, result.n_windows
+        record.best_epoch = None if report is None else report.best_epoch
+
+    record.status, record.reason = _attempt(cfg, cell, input_len, train_t, val_t,
+                                            out / "logs" / f"{cell.stem}.csv", score)
     return record, time.perf_counter() - started
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     """Run the full grid and write results.csv, report.md, manifest.json."""
     out = _resolve_out_dir(cfg, out_dir)
-    (out / "logs").mkdir(exist_ok=True)
     if cfg.save_checkpoints:
         (out / "checkpoints").mkdir(exist_ok=True)
     started_wall = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -587,30 +610,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
 
     train_t, val_t, test_t = prepared_segments(cfg)
     trained = [m for m in cfg.models if m != "Persistence"]
-    cells = [(h, m) for h in cfg.horizons for m in ["Persistence"] + trained]
+    cells = [Cell(cfg.source.name, m, h, cfg.seed)
+             for h in cfg.horizons for m in ["Persistence"] + trained]
+
+    def run(cell):
+        return _run_cell(cfg, cell, train_t, val_t, test_t, out)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_run_cell, cfg, m, h, train_t, val_t, test_t, out)
-                for h, m in cells
-            ]
-            outcomes = [f.result() for f in futures]
+            outcomes = list(pool.map(run, cells))
     else:
-        outcomes = [_run_cell(cfg, m, h, train_t, val_t, test_t, out) for h, m in cells]
+        outcomes = [run(cell) for cell in cells]
 
     records = [rec for rec, _ in outcomes]
-    timings = {
-        f"{rec.dataset}/{rec.model}/{rec.horizon}": round(secs, 3)
-        for rec, secs in outcomes
-    }
+    timings = {cell.key: round(secs, 3) for cell, (_, secs) in zip(cells, outcomes)}
 
-    base_by_horizon = {
-        r.horizon: r.mae for r in records if r.model == "Persistence" and r.status == "ok"
-    }
-    for r in records:
-        if r.model != "Persistence" and r.status == "ok":
-            base = base_by_horizon.get(r.horizon)
+    scored = {cell.key: r.mae for cell, r in zip(cells, records) if r.status == "ok"}
+    for cell, r in zip(cells, records):
+        if cell.model != "Persistence" and r.status == "ok":
+            base = scored.get(dataclasses.replace(cell, model="Persistence").key)
             # a baseline of exactly zero (noise-free periodic data) admits no ratio
             if base is not None and base > 0:
                 r.improvement_vs_persistence = improvement(base, r.mae)
@@ -619,9 +637,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
     results_path = write_results_csv(out / "results.csv", rows)
     report_path = write_report(out / "report.md", rows, title=cfg.name, config_hash=config_hash(cfg))
 
-    counts = {"ok": 0, "skipped": 0, "error": 0}
-    for r in records:
-        counts[r.status] += 1
     manifest = {
         "experiment": cfg.name,
         "config_hash": config_hash(cfg),
@@ -631,7 +646,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
         "started_utc": started_wall,
         "finished_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seconds": round(time.perf_counter() - started, 3),
-        "counts": counts,
+        "counts": status_counts(r.status for r in records),
         "run_seconds": timings,
         "results": rows,
     }
@@ -650,10 +665,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
 # -- input-length and history tuning ----------------------------------------
 
 
-def _default_tuning_lens(horizon: int) -> tuple[int, ...]:
-    return tuple(sorted({horizon, 2 * horizon, 336, 720}))
-
-
 def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
     """Grid-search input length and train portion per (model, horizon).
 
@@ -666,7 +677,6 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
     best.json; one whose candidates are all infeasible or failed raises.
     """
     out = _resolve_out_dir(cfg, out_dir)
-    (out / "logs").mkdir(exist_ok=True)
     train_t, val_t, _ = prepared_segments(dataclasses.replace(cfg, train_portion=1.0))
 
     trained = [m for m in cfg.models if m != "Persistence"]
@@ -674,19 +684,19 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
         raise ConfigError("tuning needs at least one trainable model")
     # a portion that leaves too few rows fails here, before any candidate trains
     tails = {p: tail_portion(train_t, p) for p in cfg.tuning_train_portions or (0.5, 1.0)}
-    dataset = cfg.source.name
 
     rows: list[dict] = []
     best: dict[str, dict] = {}
     for horizon in cfg.horizons:
-        lens = cfg.tuning_input_lens or _default_tuning_lens(horizon)
+        lens = cfg.tuning_input_lens or tuple(sorted({horizon, 2 * horizon, 336, 720}))
         for model in trained:
-            candidates: list[tuple[float, int, float, int]] = []
+            cell = Cell(cfg.source.name, model, horizon, cfg.seed)
+            candidates: list[dict] = []
             skipped = False
             for input_len in lens:
                 for portion, tail in tails.items():
                     row = {
-                        "dataset": dataset,
+                        "dataset": cell.dataset,
                         "model": model,
                         "horizon": horizon,
                         "input_len": input_len,
@@ -711,44 +721,25 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
                             f"val has {val_t.length}"
                         )
                         continue
-                    log_path = out / "logs" / (
-                        f"tune_{_slug(dataset)}_{model}_{horizon}_{input_len}_{portion}.csv"
+                    row["status"], row["reason"] = _attempt(
+                        cfg, cell, input_len, tail, val_t,
+                        out / "logs" / f"tune_{cell.stem}_{input_len}_{portion}.csv",
+                        lambda _, report: row.update(val_mae=report.best_val_mae,
+                                                     best_epoch=report.best_epoch),
                     )
-                    try:
-                        train_ds = make_windows(tail, input_len, horizon, cfg.stride)
-                        row["reason"] = _over_budget(cfg, model, horizon, len(train_ds))
-                        if row["reason"]:
-                            row["status"] = "skipped"
-                            skipped = True
-                            continue
-                        _, report = _fit(cfg, model, horizon, input_len, train_ds, val_t, log_path)
-                    except Exception as exc:  # keep searching, the row carries the cause
-                        row["status"], row["reason"] = "error", _failure(exc)
-                        continue
-                    row["val_mae"] = report.best_val_mae
-                    row["best_epoch"] = report.best_epoch
-                    candidates.append((report.best_val_mae, input_len, -portion, report.best_epoch))
+                    skipped |= row["status"] == "skipped"
+                    if row["status"] == "ok":
+                        candidates.append(row)
             if not candidates:
                 if skipped:
                     continue
                 raise TuningError(f"no feasible tuning candidate for {model} at horizon {horizon}")
-            val_mae, input_len, neg_portion, best_epoch = min(candidates)
+            pick = min(candidates, key=lambda r: (r["val_mae"], r["input_len"], -r["train_portion"]))
             best[f"{model}@{horizon}"] = {
-                "input_len": input_len,
-                "train_portion": -neg_portion,
-                "val_mae": val_mae,
-                "best_epoch": best_epoch,
+                k: pick[k] for k in ("input_len", "train_portion", "val_mae", "best_epoch")
             }
 
-    table_path = out / "tuning.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TUNING_FIELDS)
-        for row in rows:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else ("" if v is None else str(v))
-                for v in (row[f] for f in TUNING_FIELDS)
-            ])
+    table_path = _write_csv(out / "tuning.csv", TUNING_FIELDS, rows)
     best_path = out / "best.json"
     best_path.write_text(json.dumps(best, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return TuneOutcome(rows=rows, best=best, out_dir=out, table_path=table_path, best_path=best_path)

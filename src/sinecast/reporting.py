@@ -10,6 +10,7 @@ in the run manifest instead.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -20,6 +21,7 @@ from .reference import canonical_dataset_key, literature_models, reported_mae
 
 __all__ = [
     "RESULT_FIELDS",
+    "status_counts",
     "write_results_csv",
     "read_results_csv",
     "render_report",
@@ -53,14 +55,25 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_results_csv(path, rows: Iterable[Mapping]) -> Path:
+def _write_csv(path, fields: tuple[str, ...], rows: Iterable[Mapping]) -> Path:
     p = Path(path)
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
+        writer.writerow(fields)
         for row in rows:
-            writer.writerow([_format_cell(row.get(field)) for field in RESULT_FIELDS])
+            writer.writerow([_format_cell(row.get(field)) for field in fields])
     return p
+
+
+def write_results_csv(path, rows: Iterable[Mapping]) -> Path:
+    return _write_csv(path, RESULT_FIELDS, rows)
+
+
+def status_counts(statuses: Iterable[str]) -> dict[str, int]:
+    """How many runs are ok, skipped and failed; any other status gets its own count."""
+    counts = dict.fromkeys(("ok", "skipped", "error"), 0)
+    counts.update(Counter(statuses))
+    return counts
 
 
 def _coerce(field: str, text: str):
@@ -194,13 +207,8 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
             )
         lines.append("")
 
-    counts = {"ok": 0, "skipped": 0, "error": 0}
-    for r in rows:
-        counts[r["status"]] = counts.get(r["status"], 0) + 1
-    lines.append(
-        f"Runs: {counts.get('ok', 0)} ok, {counts.get('skipped', 0)} skipped, "
-        f"{counts.get('error', 0)} failed."
-    )
+    counts = status_counts(r["status"] for r in rows)
+    lines.append(f"Runs: {counts['ok']} ok, {counts['skipped']} skipped, {counts['error']} failed.")
     lines.append("")
     return "\n".join(lines)
 

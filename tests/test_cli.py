@@ -173,6 +173,19 @@ class TestPlot:
         assert code == 0
         assert "SLP" in out_svg.read_text()
 
+    def test_default_plot_name_slugs_the_dataset(self, tmp_path):
+        dataset = {"name": "site a/b", "synthetic": {"kind": "sine", "n": 600, "period": 24.0}}
+        cfg = write_config(tmp_path, dataset=dataset, save_checkpoints=True,
+                           out_dir=str(tmp_path / "out"))
+        assert run_cli(["run", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "out" / "checkpoints" / "site_a_b_SLP_24.json"
+        assert run_cli(["plot", "--config", str(cfg), "--model", "Persistence",
+                        "--horizon", "24"]) == 0
+        assert run_cli(["plot", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--window-index", "1"]) == 0
+        plots = sorted(f.name for f in (tmp_path / "out" / "plots").iterdir())
+        assert plots == ["site_a_b_Persistence_24_w0.svg", "site_a_b_SLP_24_w1.svg"]
+
     def test_checkpoint_variant_mismatch(self, tmp_path, capsys):
         cfg = write_config(tmp_path, save_checkpoints=True)
         assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -129,6 +129,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="tuning.train_portions"):
             load_config(write_config(tmp_path, tuning={"train_portions": ["half"]}))
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"horizons": [24, 12, 24]}, "horizons"),
+        ({"tuning": {"input_lens": [24, 24]}}, "tuning.input_lens"),
+        ({"tuning": {"train_portions": [0.5, 1, 1.0]}}, "tuning.train_portions"),
+    ])
+    def test_repeated_cell_values_rejected(self, tmp_path, overrides, key):
+        with pytest.raises(ConfigError, match=f"{key} must not repeat a value"):
+            load_config(write_config(tmp_path, **overrides))
+
+    def test_repeated_models_are_dropped(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, models=["SLP", "Linear", "SLP"]))
+        assert cfg.models == ("SLP", "Linear")
+
     def test_split_must_hold_numbers(self, tmp_path):
         with pytest.raises(ConfigError, match="'split' must be a list of three fractions"):
             load_config(write_config(tmp_path, split=["a", 0.2, 0.2]))
@@ -474,3 +487,38 @@ class TestTune:
         assert by_len[48]["reason"] == "RuntimeError: boom"
         assert by_len[24]["status"] == "ok"
         assert outcome.best["SLP@24"]["input_len"] == 24
+
+
+class TestArtifactNames:
+    """The names and keys that code outside this package reads: the manifest's
+    run_seconds keys, the log, checkpoint and tuning log file names, and the
+    best.json keys."""
+
+    def test_run_and_tune_artifacts(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            dataset={"name": "site a/b", "synthetic": {"kind": "sine", "n": 600, "period": 24.0,
+                                                       "noise": 0.05, "seed": 3}},
+            horizons=[12, 24],
+            models=["SLP", "Linear"],
+            save_checkpoints=True,
+            tuning={"input_lens": [24, 48], "train_portions": [0.5, 1.0]},
+        )
+        cfg = load_config(path)
+        out = run_experiment(cfg, out_dir=tmp_path / "run").out_dir
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["run_seconds"]) == [
+            f"site a/b/{m}/{h}" for m in ("Linear", "Persistence", "SLP") for h in (12, 24)
+        ]
+        stems = [f"site_a_b_{m}_{h}" for m in ("Linear", "SLP") for h in (12, 24)]
+        assert sorted(f.name for f in (out / "logs").iterdir()) == [f"{s}.csv" for s in stems]
+        assert sorted(f.name for f in (out / "checkpoints").iterdir()) == [f"{s}.json" for s in stems]
+
+        outcome = tune(cfg, out_dir=tmp_path / "tune")
+        assert sorted(f.name for f in (outcome.out_dir / "logs").iterdir()) == [
+            f"tune_site_a_b_{m}_{h}_{n}_{p}.csv"
+            for m in ("Linear", "SLP") for h in (12, 24) for n in (24, 48) for p in (0.5, 1.0)
+        ]
+        assert sorted(json.loads(outcome.best_path.read_text())) == [
+            "Linear@12", "Linear@24", "SLP@12", "SLP@24",
+        ]
