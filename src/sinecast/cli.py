@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot_p = sub.add_parser("plot", help="plot one forecast window as SVG")
     plot_p.add_argument("--config", required=True, help="experiment config JSON (defines data and preprocessing)")
-    plot_p.add_argument("--checkpoint", help="model checkpoint JSON written by 'run'")
+    plot_p.add_argument("--checkpoint", help="model checkpoint written by 'run' (checkpoints/<stem>.json)")
     plot_p.add_argument("--model", help="model name; without --checkpoint only Persistence works")
     plot_p.add_argument("--horizon", type=int, help="forecast horizon (required without --checkpoint)")
     plot_p.add_argument("--window-index", type=int, default=0, help="test window to draw")

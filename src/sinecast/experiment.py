@@ -91,13 +91,19 @@ TUNING_FIELDS = (
 
 @dataclass(frozen=True)
 class DatasetSource:
-    """Where the series comes from: a CSV file or a built-in generator."""
+    """Where the series comes from: a CSV file or a built-in generator.
+
+    `path` is kept as the config wrote it, and a relative one is read from
+    `config_dir`, so the config hash, which leaves `config_dir` out, is the
+    same wherever a config and its CSV are copied together.
+    """
 
     name: str
     path: str | None = None
     timestamp_column: str | None = None
     frequency: str = ""
     synthetic: Mapping | None = None
+    config_dir: str | None = None
 
     def __post_init__(self):
         if (self.path is None) == (self.synthetic is None):
@@ -307,10 +313,8 @@ def _parse_source(raw, config_dir: Path, fallback_name: str) -> DatasetSource:
     synth = _take(raw, "synthetic", dict, None)
     if raw:
         raise ConfigError(f"unknown dataset key(s): {sorted(raw)}")
-    if path is not None:
-        path = str((config_dir / path).resolve()) if not Path(path).is_absolute() else path
-        if name is None:
-            name = Path(path).stem
+    if path is not None and name is None:
+        name = Path(path).stem
     if synth is not None:
         synth = dict(synth)
         kind = synth.get("kind")
@@ -324,7 +328,8 @@ def _parse_source(raw, config_dir: Path, fallback_name: str) -> DatasetSource:
         if name is None:
             name = kind
     return DatasetSource(name=name or fallback_name, path=path, timestamp_column=ts,
-                         frequency=freq, synthetic=synth)
+                         frequency=freq, synthetic=synth,
+                         config_dir=None if path is None else str(config_dir.resolve()))
 
 
 # load_config parses these fields itself; every other field of
@@ -405,12 +410,14 @@ def normalized_config(cfg: ExperimentConfig) -> dict:
     return d
 
 
-# Execution details that do not change any result value stay out of the hash.
+# Execution details that do not change any result value stay out of the hash,
+# and so does `source.config_dir`, the directory a CSV path is read from.
 _UNHASHED_KEYS = ("out_dir", "workers", "save_checkpoints")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
     d = {k: v for k, v in normalized_config(cfg).items() if k not in _UNHASHED_KEYS}
+    del d["source"]["config_dir"]
     canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -444,7 +451,7 @@ def load_source(source: DatasetSource) -> TimeSeriesTable:
             raise ConfigError(f"bad synthetic dataset options: {exc}") from exc
         return synthetic.as_table(values, name=source.name)
     return load_csv(
-        source.path,
+        Path(source.config_dir or "") / source.path,
         timestamp_column=source.timestamp_column,
         name=source.name,
         frequency_label=source.frequency,

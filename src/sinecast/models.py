@@ -8,10 +8,8 @@ emit values in [-1, 1] and are meant for standardized data.
 
 from __future__ import annotations
 
-import binascii
 import json
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -456,209 +454,109 @@ def sinformer_forward(model: Forecaster, x: Tensor) -> Tensor:
     return _unfold_channels(model._head(dec), b, c)
 
 
-# Elements per base64 block. A multiple of 3 elements (24 bytes, 32 base64
-# characters), so padding can only appear at the end of a parameter and the
-# concatenated blocks equal the base64 of the whole parameter.
-_B64_BLOCK = 3 * 8192
+# The first line of every checkpoint holds this tag; `load_checkpoint`
+# reads no other format.
+_FORMAT = "sinecast-checkpoint-f64le"
+
+# The most bytes `load_checkpoint` reads looking for the header's newline.
+# The largest header `save_checkpoint` writes (Sinformer's) is under 2 KiB.
+_HEADER_LIMIT = 1 << 16
 
 
 def save_checkpoint(model: Forecaster, path) -> None:
-    """Write config and parameters as one JSON file.
+    """Write config and parameters as one line of JSON, then raw bytes.
 
-    Each parameter is ``{"shape": [...], "float64_le": ...}``: base64 of its
-    C-order little-endian float64 bytes, so the round trip is bit exact and
-    the file takes about 10.7 bytes per parameter.
-
-    The bytes are those of ``json.dumps(payload)``, but each parameter is
-    encoded and written in blocks of `_B64_BLOCK` elements, so no
-    parameter-sized string or bytes copy is made. The file is written to
-    ``<name>.tmp`` next to `path` and renamed into place: a failed or
-    interrupted save leaves any earlier file at `path` as it was.
+    The first line is ``{"format": ..., "config": {...}, "parameters":
+    [[name, shape], ...]}``. After its newline come each parameter's
+    C-order little-endian float64 bytes in that order, and nothing else,
+    so the round trip is bit exact and the file takes 8 bytes per
+    parameter plus the header. Each buffer is written as it is, with no
+    copy on a little-endian host. The file is written to ``<name>.tmp``
+    next to `path` and renamed into place: a failed or interrupted save
+    leaves any earlier file at `path` as it was.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    header = {
+        "format": _FORMAT,
+        "config": asdict(model.config),
+        "parameters": [[name, list(p.shape)] for name, p in model.params.items()],
+    }
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b'{"config": %s, "parameters": {' % json.dumps(asdict(model.config)).encode())
-            for i, (name, p) in enumerate(model.params.items()):
-                head = f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(p.shape))}, "float64_le": "'
-                fh.write(head.encode())
-                flat = p.data.reshape(-1)  # a view: a Parameter's data is C-contiguous
-                for start in range(0, flat.size, _B64_BLOCK):
-                    block = flat[start : start + _B64_BLOCK].astype("<f8", copy=False)
-                    fh.write(binascii.b2a_base64(block, newline=False))
-                fh.write(b'"}')
-            fh.write(b"}}")
+            fh.write(json.dumps(header).encode() + b"\n")
+            for p in model.params.values():
+                fh.write(p.data.astype("<f8", copy=False))  # C-contiguous, like every Parameter's data
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-# Bytes per read when loading a checkpoint, in both passes. A multiple of 4,
-# so every block of a base64 string but its last is whole base64 groups.
-_READ_BLOCK = 1 << 18
-
-_QUOTE_OR_BACKSLASH = re.compile(rb'["\\]')
-_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
-
-
-def _is_b64_key(token: bytearray) -> bool:
-    """Whether a JSON string token, quotes included, is the key ``float64_le``."""
-    if token == b'"float64_le"':
-        return True
-    try:
-        return b"\\" in token and json.loads(token) == "float64_le"
-    except ValueError:
-        return False
-
-
-def _scan_checkpoint(fh) -> tuple[bytes, list[tuple[int, int]]]:
-    """Pass 1 of `load_checkpoint`: read `fh` in blocks of `_READ_BLOCK` bytes.
-
-    Returns the file with the content of each ``"float64_le": "..."`` string
-    replaced by that string's index, and each content's (offset, length) in
-    the file. It lexes JSON strings and their escapes, so it finds those
-    values wherever valid JSON puts them, whatever the whitespace or key
-    order; the rest of the file is copied as it is.
-    """
-    skeleton, spans = bytearray(), []
-    state, escaped, offset = "json", False, 0
-    token_start = b64_start = 0
-    while block := fh.read(_READ_BLOCK):
-        i, n = 0, len(block)
-        while i < n:
-            if state == "json":  # copy up to and including the next opening quote
-                j = block.find(b'"', i)
-                if j < 0:
-                    skeleton += block[i:]
-                    i = n
-                    continue
-                skeleton += block[i : j + 1]
-                state, token_start, i = "string", len(skeleton) - 1, j + 1
-            elif state == "string":  # copy up to the closing quote, stepping over escapes
-                if escaped:
-                    skeleton += block[i : i + 1]
-                    escaped, i = False, i + 1
-                    continue
-                m = _QUOTE_OR_BACKSLASH.search(block, i)
-                if m is None:
-                    skeleton += block[i:]
-                    i = n
-                    continue
-                skeleton += block[i : m.end()]
-                i = m.end()
-                if m.group() == b"\\":
-                    escaped = True
-                elif len(skeleton) - token_start < 64 and _is_b64_key(skeleton[token_start:]):
-                    state = "key"
-                else:
-                    state = "json"
-            elif state in ("key", "value"):  # after a float64_le key: its colon, then its opening quote
-                j = _JSON_SPACE.match(block, i).end()
-                skeleton += block[i:j]
-                i = j
-                if i == n:
-                    continue
-                if state == "key" and block[i] == ord(":"):
-                    skeleton += b":"
-                    state, i = "value", i + 1
-                elif state == "value" and block[i] == ord('"'):
-                    skeleton += b'"%d' % len(spans)
-                    state, b64_start, i = "b64", offset + i + 1, i + 1
-                else:
-                    state = "json"
-            else:  # "b64": skip to the closing quote
-                j = block.find(b'"', i)
-                if j < 0:
-                    i = n
-                    continue
-                spans.append((b64_start, offset + j - b64_start))
-                skeleton += b'"'
-                state, i = "json", j + 1
-        offset += n
-    return bytes(skeleton), spans
-
-
-def _read_parameter(fh, name: str, entry, p: Parameter, spans: list[tuple[int, int]]) -> None:
-    """Pass 2 of `load_checkpoint` for one parameter: decode its saved string
-    in blocks straight into ``p.data``, or raise a ConfigError naming it."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"checkpoint {name}: entry must be an object")
-    if "data" in entry:
-        raise ConfigError(
-            f"checkpoint {name}: old list-format checkpoint, no longer read; "
-            "regenerate it with `sinecast run`"
-        )
-    if "float64_le" not in entry:
-        raise ConfigError(f"checkpoint {name}: missing key 'float64_le'")
-    if entry.get("shape") != list(p.shape):
-        raise ConfigError(f"checkpoint {name}: shape {entry.get('shape')} vs expected {list(p.shape)}")
-    index = entry["float64_le"]
-    if not isinstance(index, str):  # every string value was replaced by its index
-        raise ConfigError(f"checkpoint {name}: invalid base64: a {type(index).__name__}, not a string")
-    offset, length = spans[int(index)]
-    out = memoryview(p.data).cast("B")  # a Parameter's data is C-contiguous float64
-    written = 0
-    fh.seek(offset)
-    for start in range(0, length, _READ_BLOCK):
-        chars = fh.read(min(_READ_BLOCK, length - start))
-        try:
-            if start + _READ_BLOCK < length and chars.endswith(b"="):
-                raise binascii.Error("padding before the end of the string")
-            raw = binascii.a2b_base64(chars, strict_mode=True)
-        except binascii.Error as exc:
-            raise ConfigError(f"checkpoint {name}: invalid base64: {exc}") from exc
-        if written + len(raw) <= out.nbytes:
-            out[written : written + len(raw)] = raw
-        written += len(raw)
-    if written != out.nbytes:
-        raise ConfigError(f"checkpoint {name}: {written} bytes vs expected {out.nbytes}")
-    if sys.byteorder == "big":  # the saved bytes are little-endian
-        p.data.byteswap(inplace=True)
-    if not np.isfinite(p.data).all():
-        raise ConfigError(f"checkpoint {name}: non-finite values")
-
-
 def load_checkpoint(path) -> Forecaster:
-    """Rebuild a saved model; a file that is not a checkpoint object,
-    unknown config keys, malformed parameter entries and non-finite values
-    are rejected with a ConfigError.
+    """Rebuild a saved model. Anything but a checkpoint `save_checkpoint`
+    writes is rejected with a ConfigError: a missing or malformed header,
+    unknown config keys or values, parameter names, order or shapes other
+    than the model's, a file size other than the header's plus 8 bytes per
+    parameter, and non-finite values. Checkpoints of the earlier JSON-only
+    formats are recognised from their first bytes and rejected too.
 
-    The file is read in two passes of `_READ_BLOCK`-byte blocks, mirroring
-    `save_checkpoint`. The first parses everything but the parameters'
-    base64 strings, and every check of config, names and shapes runs on
-    that. The model is built with its weights allocated but not drawn, and
-    the second pass decodes each string in blocks straight into the data
-    buffer of its parameter, so no parameter-sized string, bytes or array
-    copy is made and no random weight is drawn. Every parameter is filled
-    and checked before the model is returned.
+    Every check of the header runs before a parameter is read. The model is
+    then built with its weights allocated but not drawn, and each
+    parameter's bytes are read straight into its buffer, so no random
+    weight is drawn and no parameter-sized copy is made.
     """
     with open(path, "rb") as fh:
-        skeleton, spans = _scan_checkpoint(fh)
+        line = fh.readline(_HEADER_LIMIT)
+        if line.startswith(b'{"config": '):
+            raise ConfigError(
+                f"checkpoint {path}: a checkpoint of an earlier format, no longer read; "
+                "regenerate it with `sinecast run`"
+            )
+        if not line.endswith(b"\n"):
+            raise ConfigError(f"checkpoint {path}: no header line within its first {_HEADER_LIMIT} bytes")
         try:
-            payload = json.loads(skeleton.decode("utf-8"))
+            header = json.loads(line)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ConfigError(f"checkpoint {path}: not a JSON file: {exc}") from exc
+            raise ConfigError(f"checkpoint {path}: header is not JSON: {exc}") from exc
         if not (
-            isinstance(payload, dict)
-            and isinstance(payload.get("config"), dict)
-            and isinstance(payload.get("parameters"), dict)
+            isinstance(header, dict)
+            and header.get("format") == _FORMAT
+            and isinstance(header.get("config"), dict)
+            and isinstance(header.get("parameters"), list)
         ):
-            raise ConfigError(f"checkpoint {path}: expected a JSON object with 'config' and 'parameters' objects")
-        wrong_type = [k for k, v in payload["config"].items() if type(v) is not (str if k == "variant" else int)]
+            raise ConfigError(
+                f"checkpoint {path}: expected a JSON header with format {_FORMAT!r}, "
+                "a 'config' object and a 'parameters' list"
+            )
+        wrong_type = [k for k, v in header["config"].items() if type(v) is not (str if k == "variant" else int)]
         if wrong_type:
             raise ConfigError(f"checkpoint {path}: config {sorted(wrong_type)} must be integers (variant a string)")
         try:
-            config = ModelConfig(**payload["config"])
+            config = ModelConfig(**header["config"])
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"checkpoint {path}: config: {exc}") from exc
         model = Forecaster._unset(config)
-        saved = payload["parameters"]
-        if set(saved) != set(model.params):
-            missing = set(model.params) - set(saved)
-            extra = set(saved) - set(model.params)
-            raise ConfigError(f"checkpoint mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, entry in saved.items():
-            _read_parameter(fh, name, entry, model.params[name], spans)
+        entries = header["parameters"]
+        if not all(isinstance(e, list) and len(e) == 2 for e in entries):
+            raise ConfigError(f"checkpoint {path}: each parameter must be [name, shape]")
+        names = [name for name, _ in entries]
+        if names != list(model.params):
+            raise ConfigError(f"checkpoint {path}: parameters {names} vs expected {list(model.params)}")
+        for (name, shape), p in zip(entries, model.params.values()):
+            if shape != list(p.shape):
+                raise ConfigError(f"checkpoint {name}: shape {shape} vs expected {list(p.shape)}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = len(line) + 8 * model.n_parameters()
+        if size != expected:
+            raise ConfigError(f"checkpoint {path}: {size} bytes vs expected {expected}")
+        for name, p in model.params.items():
+            # a Parameter's data is C-contiguous float64; the size check above
+            # leaves a short read only to a file that shrank since
+            if fh.readinto(memoryview(p.data).cast("B")) != p.data.nbytes:
+                raise ConfigError(f"checkpoint {path}: file ended inside {name}")
+            if sys.byteorder == "big":  # the saved bytes are little-endian
+                p.data.byteswap(inplace=True)
+            if not np.isfinite(p.data).all():
+                raise ConfigError(f"checkpoint {name}: non-finite values")
     return model

@@ -205,6 +205,17 @@ class TestPlot:
         assert code == 2
         assert f"error: checkpoint {ckpt}" in capsys.readouterr().err
 
+    def test_old_format_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "old.json"
+        ckpt.write_text(json.dumps({"config": {"variant": "SLP"}, "parameters": {}}))
+        code = run_cli(["plot", "--config", str(cfg), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "o.svg")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt}" in err
+        assert "sinecast run" in err
+
     def test_garbage_checkpoint_is_an_error_not_a_traceback(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         ckpt = tmp_path / "garbage.json"

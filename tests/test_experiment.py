@@ -1,5 +1,6 @@
 import json
 import platform
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +101,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
 
-    def test_relative_csv_path_resolves_against_config_dir(self, tmp_path):
+    def test_relative_csv_path_resolves_against_config_dir(self, tmp_path, monkeypatch):
         write_series_csv(tmp_path / "series.csv", sine_series(50))
         cfg = load_config(write_config(tmp_path, dataset={"path": "series.csv"}))
-        assert cfg.source.path == str(tmp_path / "series.csv")
+        assert cfg.source.path == "series.csv"
+        assert cfg.source.config_dir == str(tmp_path.resolve())
         assert cfg.source.name == "series"
+        monkeypatch.chdir(tmp_path.parent)
         table = load_source(cfg.source)
         assert table.length == 50
 
@@ -198,6 +201,21 @@ class TestConfigHash:
         a = load_config(write_config(tmp_path, name="a.json", seed=1))
         b = load_config(write_config(tmp_path, name="b.json", seed=2))
         assert config_hash(a) != config_hash(b)
+
+    def test_csv_config_hashes_the_same_in_any_directory(self, tmp_path):
+        write_series_csv(tmp_path / "series.csv", sine_series(50))
+        original = write_config(tmp_path, dataset={"path": "series.csv"})
+        hashes = []
+        for place in ("one", "two/nested"):
+            d = tmp_path / place
+            d.mkdir(parents=True)
+            for f in (original, tmp_path / "series.csv"):
+                shutil.copy(f, d / f.name)
+            cfg = load_config(d / original.name)
+            assert cfg.source.config_dir == str(d.resolve())
+            assert load_source(cfg.source).length == 50
+            hashes.append(config_hash(cfg))
+        assert hashes[0] == hashes[1] == config_hash(load_config(original))
 
     def test_execution_details_do_not_change_hash(self, tmp_path):
         a = load_config(write_config(tmp_path, name="a.json"))

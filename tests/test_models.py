@@ -2,7 +2,7 @@
 finite-difference gradient checks for every trainable variant."""
 
 import base64
-import binascii
+import io
 import json
 import re
 import tracemalloc
@@ -30,9 +30,9 @@ from sinecast.models import (
 )
 
 
-def encode_f64(values) -> str:
-    """A parameter's checkpoint encoding, written independently of models.py."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def f64_bytes(values) -> bytes:
+    """A parameter's checkpoint bytes, written independently of models.py."""
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 def brute_force_moving_average(row, kernel):
@@ -418,45 +418,46 @@ class TestCheckpoints:
         x = Tensor(np.random.default_rng(30).normal(size=(2, 8, 1)))
         assert np.array_equal(m(x).data, m2(x).data)
 
-    def test_parameter_name_mismatch_rejected(self, tmp_path):
-        m = Forecaster(toy_config("Linear"))
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("horizon", [24, 96, 720])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_round_trips_bit_exactly(self, tmp_path, variant, horizon, channels):
+        config = ModelConfig(variant=variant, input_len=96, horizon=horizon, channels=channels, seed=5)
+        m = Forecaster(config)
+        extremes = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        for p in m.params.values():
+            p.data.flat[: len(extremes)] = extremes[: p.size]
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        payload = json.loads(path.read_text())
-        payload["parameters"]["bogus"] = {"shape": [1], "float64_le": encode_f64([0.0])}
-        path.write_text(json.dumps(payload))
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        assert list(loaded.params) == list(m.params)
+        for name, p in m.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
+    def test_parameter_name_mismatch_rejected(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda header, m: header["parameters"].append(["bogus", [1]]))
         with pytest.raises(ConfigError, match="bogus"):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        m = Forecaster(toy_config("Linear"))
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        payload = json.loads(path.read_text())
-        payload["config"]["depth"] = 3
-        path.write_text(json.dumps(payload))
+        path = self._rewritten(tmp_path, lambda header, m: header["config"].update(depth=3))
         with pytest.raises(ConfigError, match="depth"):
             load_checkpoint(path)
 
     def test_negative_seed_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_checkpoint(Forecaster(toy_config("Linear")), path)
-        payload = json.loads(path.read_text())
-        payload["config"]["seed"] = -1
-        path.write_text(json.dumps(payload))
+        path = self._rewritten(tmp_path, lambda header, m: header["config"].update(seed=-1))
         with pytest.raises(ConfigError, match=r"model\.json: config: seed=-1"):
             load_checkpoint(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
-        m = Forecaster(toy_config("Linear"))
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        payload = json.loads(path.read_text())
-        w = m.params["w"].data.copy()
-        w.flat[3] = float("nan")
-        payload["parameters"]["w"]["float64_le"] = encode_f64(w)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="non-finite"):
+        m, path = self._saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        w_start = data.index(b"\n") + 1  # w is the first parameter of a Linear model
+        data[w_start + 3 * 8 : w_start + 4 * 8] = f64_bytes([float("nan")])
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="checkpoint w: non-finite"):
             load_checkpoint(path)
 
     def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
@@ -471,95 +472,174 @@ class TestCheckpoints:
         assert np.signbit(loaded.flat[0])
         assert loaded.flags.writeable and loaded.flags.c_contiguous
 
-    def test_size_is_about_eleven_bytes_per_parameter(self, tmp_path):
+    def test_size_is_eight_bytes_per_parameter_plus_the_header(self, tmp_path):
         m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        assert path.stat().st_size <= 11 * m.n_parameters() + 4096
+        assert path.stat().st_size <= 8 * m.n_parameters() + 4096
 
-    def _rewritten(self, tmp_path, edit):
-        m = Forecaster(toy_config("Linear"))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bytes_are_the_header_line_then_the_raw_parameters(self, tmp_path, variant):
+        m = Forecaster(toy_config(variant, channels=2, seed=21))
+        header = {
+            "format": "sinecast-checkpoint-f64le",
+            "config": asdict(m.config),
+            "parameters": [[name, list(p.shape)] for name, p in m.params.items()],
+        }
         path = tmp_path / "model.json"
         save_checkpoint(m, path)
-        payload = json.loads(path.read_text())
-        edit(payload, m)
-        path.write_text(json.dumps(payload))
+        payload = b"".join(f64_bytes(p.data) for p in m.params.values())
+        assert path.read_bytes() == json.dumps(header).encode() + b"\n" + payload
+
+    def _saved(self, tmp_path, variant="Linear"):
+        m = Forecaster(toy_config(variant, channels=2, seed=21))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        return m, path
+
+    def _rewritten(self, tmp_path, edit, variant="Linear"):
+        """A saved checkpoint whose header `edit(header, model)` changed; the payload is kept."""
+        m, path = self._saved(tmp_path, variant)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header, m)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         return path
 
-    def _tampered(self, tmp_path, edit):
-        return self._rewritten(tmp_path, lambda payload, m: edit(payload["parameters"]["w"], m.params["w"].data))
-
-    def test_invalid_base64_rejected(self, tmp_path):
-        path = self._tampered(tmp_path, lambda e, w: e.update(float64_le="not*base64"))
-        with pytest.raises(ConfigError, match="checkpoint w: invalid base64"):
-            load_checkpoint(path)
+    def _assert_loads_identically(self, path, m):
+        loaded = load_checkpoint(path)
+        assert loaded.config == m.config
+        assert loaded.params.keys() == m.params.keys()
+        for name, p in m.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+            assert loaded.params[name].shape == p.shape, name
 
     def test_wrong_byte_count_rejected(self, tmp_path):
-        path = self._tampered(tmp_path, lambda e, w: e.update(float64_le=encode_f64(w.flat[:-1])))
-        with pytest.raises(ConfigError, match="checkpoint w: 504 bytes vs expected 512"):
+        m, path = self._saved(tmp_path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(f64_bytes([0.0]))
+        message = f"checkpoint {re.escape(str(path))}: {size + 8} bytes vs expected {size}"
+        with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
 
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = self._tampered(tmp_path, lambda e, w: e.update(shape=[3, 5]))
-        with pytest.raises(ConfigError, match=r"checkpoint w: shape \[3, 5\] vs expected \[8, 8\]"):
+    @pytest.mark.parametrize("cut", ['"variant"', "\n"], ids=["in-config", "in-payload"])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        # in-payload: 5 bytes into w, the first parameter
+        m, path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(cut.encode()) + len(cut) + 5])
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_missing_encoded_data_rejected(self, tmp_path):
-        path = self._tampered(tmp_path, lambda e, w: [e.clear(), e.update(shape=[8, 8])])
-        with pytest.raises(ConfigError, match="checkpoint w: missing key 'float64_le'"):
+        m, path = self._saved(tmp_path)
+        line = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        path.write_bytes(line)
+        expected = len(line) + 8 * m.n_parameters()
+        with pytest.raises(ConfigError, match=f"{len(line)} bytes vs expected {expected}"):
             load_checkpoint(path)
 
-    def test_old_list_format_rejected(self, tmp_path):
-        def to_list_format(entry, w):
-            entry.pop("float64_le", None)
-            entry["data"] = w.reshape(-1).tolist()
-
-        path = self._tampered(tmp_path, to_list_format)
-        with pytest.raises(ConfigError, match="checkpoint w: old list-format.*sinecast run"):
-            load_checkpoint(path)
-
-    def test_non_json_file_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("not json {")
-        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON file"):
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda header, m: header["parameters"][0].__setitem__(1, [3, 5]))
+        with pytest.raises(ConfigError, match=r"checkpoint w: shape \[3, 5\] vs expected \[8, 8\]"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ps: ps.reverse(), r"parameters \['b3', 'w3'"),
+            (lambda ps: ps[0].__setitem__(0, "w9"), r"parameters \['w9'"),
+            (lambda ps: ps.pop(), r"parameters \[.*\] vs expected"),
+            (lambda ps: ps.append(ps[0]), r"parameters \[.*\] vs expected"),
+            (lambda ps: ps.__setitem__(0, "w1"), r"each parameter must be \[name, shape\]"),
+        ],
+        ids=["reversed", "renamed", "missing", "repeated", "not-a-pair"],
+    )
+    def test_parameter_list_other_than_the_models_rejected(self, tmp_path, edit, message):
+        path = self._rewritten(tmp_path, lambda header, m: edit(header["parameters"]), variant="MLP")
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    def test_old_list_format_rejected(self, tmp_path):
+        m = Forecaster(toy_config("Linear"))
+        path = tmp_path / "model.json"
+        parameters = {name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+                      for name, p in m.params.items()}
+        path.write_text(json.dumps({"config": asdict(m.config), "parameters": parameters}))
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: .*earlier format.*sinecast run"):
+            load_checkpoint(path)
+
+    def test_old_base64_format_rejected_without_reading_it_whole(self, tmp_path):
+        m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))
+        path = tmp_path / "model.json"
+        parameters = {
+            name: {"shape": list(p.shape), "float64_le": base64.b64encode(f64_bytes(p.data)).decode()}
+            for name, p in m.params.items()
+        }
+        path.write_text(json.dumps({"config": asdict(m.config), "parameters": parameters}))
+        assert path.stat().st_size > 5_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: .*earlier format.*sinecast run"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("not json {\n")
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: header is not JSON"):
+            load_checkpoint(path)
+
+    def test_header_longer_than_the_bound_rejected(self, tmp_path):
+        m, path = self._saved(tmp_path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        fill = models._HEADER_LIMIT - len(line) - 1  # JSON allows trailing spaces
+        path.write_bytes(line + b" " * fill + b"\n" + payload)
+        self._assert_loads_identically(path, m)
+        path.write_bytes(line + b" " * (fill + 1) + b"\n" + payload)
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: no header line"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda header: json.dumps(header, separators=(",", ":")),
+            lambda header: json.dumps(dict(reversed(header.items()))),
+            lambda header: json.dumps(header).replace('"format"', '"\\u0066ormat"'),
+        ],
+        ids=["compact", "reordered", "escaped-key"],
+    )
+    def test_header_is_read_as_json(self, tmp_path, rewrite):
+        m, path = self._saved(tmp_path, "MLP")
+        line, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(rewrite(json.loads(line)).encode() + b"\n" + payload)
+        self._assert_loads_identically(path, m)
+
+    @pytest.mark.parametrize(
         "edit",
-        [lambda p: p.pop("config"), lambda p: p.pop("parameters"), lambda p: p.update(parameters=5)],
-        ids=["no-config", "no-parameters", "numeric-parameters"],
+        [
+            lambda p: p.pop("config"),
+            lambda p: p.pop("parameters"),
+            lambda p: p.update(parameters=5),
+            lambda p: p.update(parameters={"w": [8, 8]}),
+            lambda p: p.update(format="sinecast-checkpoint-f32le"),
+        ],
+        ids=["no-config", "no-parameters", "numeric-parameters", "parameters-object", "other-format"],
     )
     def test_payload_not_a_checkpoint_object_rejected(self, tmp_path, edit):
-        path = self._rewritten(tmp_path, lambda payload, m: edit(payload))
-        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: expected a JSON object"):
+        path = self._rewritten(tmp_path, lambda header, m: edit(header))
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: expected a JSON header"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [("horizon", 8.0), ("input_len", True)])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, key, value):
-        path = self._rewritten(tmp_path, lambda payload, m: payload["config"].update({key: value}))
+        path = self._rewritten(tmp_path, lambda header, m: header["config"].update({key: value}))
         with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: config \\['{key}'\\]"):
             load_checkpoint(path)
-
-    @pytest.mark.parametrize("block", [None, 3, 6])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_bytes_equal_json_dumps_of_the_payload(self, tmp_path, monkeypatch, variant, block):
-        # blocks of 3 and 6 elements split every parameter and end most in a partial block
-        if block is not None:
-            monkeypatch.setattr(models, "_B64_BLOCK", block)
-        m = Forecaster(toy_config(variant, channels=2, seed=21))
-        payload = {
-            "config": asdict(m.config),
-            "parameters": {
-                name: {"shape": list(p.shape), "float64_le": encode_f64(p.data)} for name, p in m.params.items()
-            },
-        }
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        assert path.read_bytes() == json.dumps(payload).encode()
-
-    def test_block_is_a_whole_number_of_base64_groups(self):
-        assert models._B64_BLOCK % 3 == 0
-        assert models._READ_BLOCK % 4 == 0
 
     def test_save_replaces_an_earlier_file_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -576,104 +656,19 @@ class TestCheckpoints:
         before = path.read_bytes()
         calls = []
 
-        def failing_b2a_base64(data, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise error("interrupted partway through the file")
-            return binascii.b2a_base64(data, **kwargs)
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise error("interrupted partway through the file")
+                return super().write(data)
 
-        monkeypatch.setattr(models.binascii, "b2a_base64", failing_b2a_base64)
+        monkeypatch.setattr(models, "open", lambda file, mode: FailingFile(file, mode), raising=False)
         with pytest.raises(error):
             save_checkpoint(Forecaster(toy_config("MLP", seed=2)), path)
         assert len(calls) == 3
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
-
-    def _saved(self, tmp_path, variant="Linear"):
-        m = Forecaster(toy_config(variant, channels=2, seed=21))
-        path = tmp_path / "model.json"
-        save_checkpoint(m, path)
-        return m, path
-
-    def _assert_loads_identically(self, path, m):
-        loaded = load_checkpoint(path)
-        assert loaded.config == m.config
-        assert loaded.params.keys() == m.params.keys()
-        for name, p in m.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-            assert loaded.params[name].shape == p.shape, name
-
-    @pytest.mark.parametrize("block", [4, 8])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_round_trip_across_read_blocks(self, tmp_path, monkeypatch, variant, block):
-        # 4- and 8-byte reads split every key, marker and base64 string across blocks
-        monkeypatch.setattr(models, "_READ_BLOCK", block)
-        m, path = self._saved(tmp_path, variant)
-        self._assert_loads_identically(path, m)
-
-    @pytest.mark.parametrize(
-        "rewrite",
-        [
-            lambda payload: json.dumps(payload, indent=1),
-            lambda payload: json.dumps(
-                {
-                    "parameters": {
-                        name: {"float64_le": e["float64_le"], "shape": e["shape"]}
-                        for name, e in payload["parameters"].items()
-                    },
-                    "config": payload["config"],
-                }
-            ),
-            lambda payload: json.dumps(payload).replace('"float64_le"', '"float64\\u005fle"'),
-            lambda payload: json.dumps(
-                {
-                    **payload,
-                    "parameters": {
-                        name: {"note": 'a \\ "float64_le": "', **e} for name, e in payload["parameters"].items()
-                    },
-                }
-            ),
-        ],
-        ids=["indented", "float64_le-before-shape", "escaped-key", "escaped-quotes-in-a-string"],
-    )
-    @pytest.mark.parametrize("block", [4, None])
-    def test_reader_depends_on_the_json_only(self, tmp_path, monkeypatch, rewrite, block):
-        if block is not None:
-            monkeypatch.setattr(models, "_READ_BLOCK", block)
-        m, path = self._saved(tmp_path, "MLP")
-        path.write_text(rewrite(json.loads(path.read_text())))
-        self._assert_loads_identically(path, m)
-
-    @pytest.mark.parametrize("cut", ['"variant"', '"float64_le": "'], ids=["in-config", "in-base64"])
-    def test_truncated_file_rejected(self, tmp_path, cut):
-        m, path = self._saved(tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[: data.index(cut.encode()) + len(cut) + 5])
-        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON file"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("block", [4, None])
-    def test_padding_before_the_end_rejected(self, tmp_path, monkeypatch, block):
-        if block is not None:
-            monkeypatch.setattr(models, "_READ_BLOCK", block)
-
-        def pad_after_first_byte(entry, w):
-            # the right byte count, but a padded group before the last one
-            raw = w.astype("<f8").tobytes()
-            entry["float64_le"] = (base64.b64encode(raw[:1]) + base64.b64encode(raw[1:])).decode()
-
-        path = self._tampered(tmp_path, pad_after_first_byte)
-        with pytest.raises(ConfigError, match="checkpoint w: invalid base64"):
-            load_checkpoint(path)
-
-    def test_json_escape_in_base64_string_rejected(self, tmp_path):
-        m, path = self._saved(tmp_path)
-        text = path.read_text()
-        start = text.index('"float64_le": "') + len('"float64_le": "')
-        path.write_text(f"{text[:start]}\\u{ord(text[start]):04x}{text[start + 1:]}")
-        assert json.loads(path.read_text()) == json.loads(text)
-        with pytest.raises(ConfigError, match="invalid base64"):
-            load_checkpoint(path)
 
     @pytest.mark.parametrize("variant", ["Linear", "MLP"])
     def test_load_allocates_no_parameter_sized_copy(self, tmp_path, variant):
