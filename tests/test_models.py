@@ -35,6 +35,29 @@ def f64_bytes(values) -> bytes:
     return np.asarray(values, dtype="<f8").tobytes()
 
 
+def _open_in_blocks(monkeypatch, block):
+    """Make `models.open` return a buffered file over a raw one that reads or
+    writes at most `block` bytes per call, as an OS may; returns the list of
+    raw calls made."""
+    calls = []
+
+    class ShortIO(io.FileIO):
+        def readinto(self, b):
+            calls.append(1)
+            return super().readinto(memoryview(b).cast("B")[:block])
+
+        def write(self, b):
+            calls.append(1)
+            return super().write(memoryview(b).cast("B")[:block])
+
+    def short_open(file, mode):
+        raw = ShortIO(file, mode)
+        return io.BufferedReader(raw) if "r" in mode else io.BufferedWriter(raw)
+
+    monkeypatch.setattr(models, "open", short_open, raising=False)
+    return calls
+
+
 def brute_force_moving_average(row, kernel):
     """Mean of each `kernel`-step window centered on each step, indices clamped to the row."""
     n, half = len(row), kernel // 2
@@ -478,8 +501,12 @@ class TestCheckpoints:
         save_checkpoint(m, path)
         assert path.stat().st_size <= 8 * m.n_parameters() + 4096
 
+    @pytest.mark.parametrize("block", [None, 3, 6])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_bytes_are_the_header_line_then_the_raw_parameters(self, tmp_path, variant):
+    def test_bytes_equal_json_dumps_of_the_payload(self, tmp_path, monkeypatch, variant, block):
+        # the header line is json.dumps of the header; 3- and 6-byte raw writes split it and every parameter
+        if block is not None:
+            calls = _open_in_blocks(monkeypatch, block)
         m = Forecaster(toy_config(variant, channels=2, seed=21))
         header = {
             "format": "sinecast-checkpoint-f64le",
@@ -490,6 +517,9 @@ class TestCheckpoints:
         save_checkpoint(m, path)
         payload = b"".join(f64_bytes(p.data) for p in m.params.values())
         assert path.read_bytes() == json.dumps(header).encode() + b"\n" + payload
+        if block is not None:
+            assert len(calls) >= path.stat().st_size // block
+        assert [f.name for f in tmp_path.iterdir()] == ["model.json"]
 
     def _saved(self, tmp_path, variant="Linear"):
         m = Forecaster(toy_config(variant, channels=2, seed=21))
@@ -607,17 +637,32 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "rewrite",
         [
+            # the header is one line, so an indented header is indented as a whole
+            lambda header: "\t  " + json.dumps(header),
             lambda header: json.dumps(header, separators=(",", ":")),
             lambda header: json.dumps(dict(reversed(header.items()))),
             lambda header: json.dumps(header).replace('"format"', '"\\u0066ormat"'),
+            lambda header: json.dumps({"note": 'a \\ "format": "\n', **header}),
         ],
-        ids=["compact", "reordered", "escaped-key"],
+        ids=["indented", "compact", "reordered", "escaped-key", "escaped-quotes-in-a-string"],
     )
-    def test_header_is_read_as_json(self, tmp_path, rewrite):
+    @pytest.mark.parametrize("block", [4, None])
+    def test_reader_depends_on_the_json_only(self, tmp_path, monkeypatch, rewrite, block):
         m, path = self._saved(tmp_path, "MLP")
         line, payload = path.read_bytes().split(b"\n", 1)
         path.write_bytes(rewrite(json.loads(line)).encode() + b"\n" + payload)
+        if block is not None:
+            _open_in_blocks(monkeypatch, block)
         self._assert_loads_identically(path, m)
+
+    @pytest.mark.parametrize("block", [4, 8])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip_across_read_blocks(self, tmp_path, monkeypatch, variant, block):
+        # 4- and 8-byte raw reads split the header line and every parameter across reads
+        m, path = self._saved(tmp_path, variant)
+        calls = _open_in_blocks(monkeypatch, block)
+        self._assert_loads_identically(path, m)
+        assert len(calls) >= path.stat().st_size // block
 
     @pytest.mark.parametrize(
         "edit",
