@@ -2,11 +2,14 @@
 
 The graph is taped implicitly: every operation returns a new Tensor holding
 references to its parents and a closure that, given the node's adjoint,
-pushes gradient contributions back to them. Closures never reference the
-node that owns them, so graphs stay acyclic and are freed by reference
-counting the moment the caller drops the loss (no reliance on the cycle
-collector, which matters when each step allocates hundreds of megabytes).
-Gradients are plain numpy arrays, filled by :func:`backward`.
+pushes gradient contributions back to them. Each op defines its closure
+first and ends with ``Tensor._from_op(data, parents, closure, op)``, the
+only place that sets a node's parents and backward. A closure therefore
+exists before its node and cannot reference it, so graphs are acyclic by
+construction and are freed by reference counting the moment the caller
+drops the loss (no reliance on the cycle collector, which matters when each
+step allocates hundreds of megabytes). Gradients are plain numpy arrays,
+filled by :func:`backward`.
 
 Broadcasting is deliberately restricted: elementwise ops require equal
 shapes, and addition additionally accepts a right operand whose shape
@@ -110,10 +113,16 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data, parents, backward_fn, op: str) -> "Tensor":
+        """The output `data` of op `op` on `parents`.
+
+        When :func:`_records` holds for `parents`, the node requires grad
+        and keeps `parents` and `backward_fn`; otherwise it keeps neither,
+        so a graph-free pass frees each intermediate as soon as it is used.
+        """
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = not getattr(_grad_mode, "off", False) and any(p.requires_grad for p in parents)
+        out.requires_grad = _records(parents)
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward_fn if out.requires_grad else None
         out.op = op
@@ -147,13 +156,11 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
             c = float(other)
-            out = Tensor._from_op(self.data + c, (self,), None, "add_const")
 
-            def bw_const(g):
+            def bw(g):
                 _acc(self, g)
 
-            out._backward = bw_const if out.requires_grad else None
-            return out
+            return Tensor._from_op(self.data + c, (self,), bw, "add_const")
 
         if self.shape == other.shape:
             reduce_axes = None
@@ -162,7 +169,6 @@ class Tensor:
             reduce_axes = tuple(range(self.ndim - other.ndim))
         else:
             raise ShapeError(f"add: shapes {self.shape} and {other.shape} do not align")
-        out = Tensor._from_op(self.data + other.data, (self, other), None, "add")
 
         def bw(g):
             _acc(self, g)
@@ -171,109 +177,73 @@ class Tensor:
             else:
                 _acc(other, g.sum(axis=reduce_axes))
 
-        out._backward = bw if out.requires_grad else None
-        return out
-
-    def __radd__(self, other) -> "Tensor":
-        return self.__add__(other)
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor._from_op(-self.data, (self,), None, "neg")
-
-        def bw(g):
-            _acc(self, -g)
-
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(self.data + other.data, (self, other), bw, "add")
 
     def __sub__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
             return self + (-float(other))
         if self.shape != other.shape:
             raise ShapeError(f"sub: shapes {self.shape} and {other.shape} differ")
-        out = Tensor._from_op(self.data - other.data, (self, other), None, "sub")
 
         def bw(g):
             _acc(self, g)
             _acc(other, -g)
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(self.data - other.data, (self, other), bw, "sub")
 
     def __mul__(self, other) -> "Tensor":
         if not isinstance(other, Tensor):
             c = float(other)
-            out = Tensor._from_op(self.data * c, (self,), None, "scale")
 
-            def bw_const(g):
+            def bw(g):
                 _acc(self, g * c)
 
-            out._backward = bw_const if out.requires_grad else None
-            return out
+            return Tensor._from_op(self.data * c, (self,), bw, "scale")
         if self.shape != other.shape:
             raise ShapeError(f"mul: shapes {self.shape} and {other.shape} differ")
-        out = Tensor._from_op(self.data * other.data, (self, other), None, "mul")
 
         def bw(g):
             _acc(self, g * other.data)
             _acc(other, g * self.data)
 
-        out._backward = bw if out.requires_grad else None
-        return out
-
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
+        return Tensor._from_op(self.data * other.data, (self, other), bw, "mul")
 
     # -- pointwise --------------------------------------------------------
 
     def sin(self) -> "Tensor":
-        out = Tensor._from_op(np.sin(self.data), (self,), None, "sin")
-
         def bw(g):
             _acc(self, g * np.cos(self.data))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.sin(self.data), (self,), bw, "sin")
 
     def relu(self) -> "Tensor":
-        out = Tensor._from_op(np.maximum(self.data, 0.0), (self,), None, "relu")
-
         def bw(g):
             _acc(self, g * (self.data > 0.0))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.maximum(self.data, 0.0), (self,), bw, "relu")
 
     def abs(self) -> "Tensor":
         # subgradient at 0 is 0 (np.sign(0) == 0), keeping L1 terms deterministic
-        out = Tensor._from_op(np.abs(self.data), (self,), None, "abs")
-
         def bw(g):
             _acc(self, g * np.sign(self.data))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.abs(self.data), (self,), bw, "abs")
 
     # -- reductions -------------------------------------------------------
 
     def sum(self) -> "Tensor":
-        out = Tensor._from_op(np.asarray(self.data.sum()), (self,), None, "sum")
-
         def bw(g):
             _acc(self, np.broadcast_to(g, self.shape))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.asarray(self.data.sum()), (self,), bw, "sum")
 
     def mean(self) -> "Tensor":
         n = self.data.size
-        out = Tensor._from_op(np.asarray(self.data.mean()), (self,), None, "mean")
 
         def bw(g):
             _acc(self, np.broadcast_to(g / n, self.shape))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.asarray(self.data.mean()), (self,), bw, "mean")
 
     # -- structure --------------------------------------------------------
 
@@ -281,26 +251,22 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-        out = Tensor._from_op(self.data.reshape(shape), (self,), None, "reshape")
 
         def bw(g):
             _acc(self, g.reshape(old))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(self.data.reshape(shape), (self,), bw, "reshape")
 
     def transpose(self, axes=None) -> "Tensor":
         if axes is None:
             axes = tuple(reversed(range(self.ndim)))
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = Tensor._from_op(np.transpose(self.data, axes), (self,), None, "transpose")
 
         def bw(g):
             _acc(self, np.transpose(g, inv))
 
-        out._backward = bw if out.requires_grad else None
-        return out
+        return Tensor._from_op(np.transpose(self.data, axes), (self,), bw, "transpose")
 
 
 class Parameter(Tensor):
@@ -328,6 +294,13 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def _records(parents) -> bool:
+    """Whether an op on `parents` records a graph node: grad mode is on and
+    some parent requires grad. :meth:`Tensor._from_op` decides by it, and an
+    op that must know before its forward runs asks it too."""
+    return not getattr(_grad_mode, "off", False) and any(p.requires_grad for p in parents)
+
+
 def _acc(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
@@ -350,7 +323,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = x.data @ w.data.T
     if b is not None:
         y += b.data
-    out = Tensor._from_op(y, (x, w) if b is None else (x, w, b), None, "dense")
 
     def bw(g):
         if x.requires_grad:
@@ -360,8 +332,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             _acc(b, g.sum(axis=tuple(range(g.ndim - 1))))
 
-    out._backward = bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(y, (x, w) if b is None else (x, w, b), bw, "dense")
 
 
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -380,7 +351,6 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), None, "layer_norm")
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
@@ -391,8 +361,7 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _acc(x, inv * (dxhat - m1 - xhat * m2))
 
-    out._backward = bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), bw, "layer_norm")
 
 
 def multi_head_attention(
@@ -454,8 +423,7 @@ def multi_head_attention(
     heads = [(slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)) for h in range(n_heads)]
 
     out_flat = np.empty((batch, m, e))
-    out = Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), None, "multi_head_attention")
-    taped = out.requires_grad
+    taped = _records((q, k, v))
     probs = [np.empty((batch, m, n)) for _ in heads] if taped else None
 
     def forward(part):
@@ -473,8 +441,6 @@ def multi_head_attention(
                 out_flat[sl, :, vs] = p @ vf[sl, :, vs]
 
     _run_split(forward, chunks)
-    if not taped:
-        return out
 
     def bw(g):
         gf = g.reshape(batch, m, e)
@@ -499,8 +465,7 @@ def multi_head_attention(
         _acc(k, gk.reshape(k.shape))
         _acc(v, gv.reshape(v.shape))
 
-    out._backward = bw
-    return out
+    return Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), bw, "multi_head_attention")
 
 
 def _split_pool() -> ThreadPoolExecutor:

@@ -1,4 +1,4 @@
-"""MAE metrics, test-set evaluation, and improvement-vs-baseline aggregation.
+"""Test-set MAE evaluation and improvement-vs-baseline aggregation.
 
 All metrics operate in standardized space; improvements are fractions where
 positive means the model beats the baseline.
@@ -13,12 +13,11 @@ import numpy as np
 
 from .autodiff import Tensor, _run_split, no_grad
 from .data import WindowDataset
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .models import Forecaster
 
 __all__ = [
     "EvalResult",
-    "mae",
     "evaluate",
     "improvement",
     "mean_improvements",
@@ -39,18 +38,6 @@ class EvalResult:
             raise ConfigError(f"mae must be non-negative, got {self.mae}")
         if self.n_windows < 1:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def mae(pred, truth) -> float:
-    """Mean absolute error over every element of equally shaped arrays."""
-    p, t = _as_array(pred), _as_array(truth)
-    if p.shape != t.shape:
-        raise ShapeError(f"mae: shapes {p.shape} and {t.shape} differ")
-    return float(np.abs(p - t).mean())
 
 
 def evaluate(

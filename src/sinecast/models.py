@@ -32,15 +32,10 @@ __all__ = [
     "DecoderBlockParams",
     "persistence_forecast",
     "addt2v_forward",
-    "slp_forward",
-    "mlp_forward",
-    "linear_family_forward",
     "moving_average",
     "attention",
     "encoder_block",
     "decoder_block",
-    "sencoder_forward",
-    "sinformer_forward",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -138,18 +133,6 @@ class DecoderBlockParams:
     n_heads: int
 
 
-def _fold_channels(x: Tensor) -> Tensor:
-    """[B, I, C] -> [B*C, I], channels stacked as independent rows."""
-    b, i, c = x.shape
-    return x.transpose((0, 2, 1)).reshape(b * c, i)
-
-
-def _unfold_channels(y: Tensor, batch: int, channels: int) -> Tensor:
-    """[B*C, L] -> [B, L, C], inverse of _fold_channels."""
-    horizon = y.shape[-1]
-    return y.reshape(batch, channels, horizon).transpose((0, 2, 1))
-
-
 def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average of `kernel` steps over the last axis, edges replicated."""
     if kernel % 2 == 0 or kernel < 3:
@@ -222,6 +205,11 @@ def addt2v_forward(params: AddT2VParams, x: Tensor) -> Tensor:
 
 class Forecaster:
     """One configured model instance: parameters plus the forward map.
+
+    Each variant is a pair of methods found by name: ``_build_<variant>``
+    makes its parameters and ``_forward_<variant>`` maps the channel-folded
+    [B*C, I] input to [B*C, L] (the variant in lower case). Persistence has
+    no parameters and forecasts from the unfolded input.
 
     Parameters are created deterministically from config.seed, weights
     uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], biases zero, layer-norm
@@ -318,6 +306,8 @@ class Forecaster:
             n_heads=self.config.n_heads,
         )
 
+    # -- variants: a _build_ and a _forward_ each -----------------------------
+
     def _build_persistence(self):
         pass
 
@@ -326,7 +316,16 @@ class Forecaster:
         self.w = self._weight("w", l, i)
         self.b = self._bias("b", l)
 
+    def _forward_linear(self, xc: Tensor) -> Tensor:
+        return dense(xc, self.w, self.b)
+
     _build_nlinear = _build_linear
+
+    def _forward_nlinear(self, xc: Tensor) -> Tensor:
+        # the input never requires grad, so its last value is a constant
+        last = xc.data[:, -1:]
+        out = dense(Tensor(xc.data - last), self.w, self.b)
+        return out + Tensor(np.broadcast_to(last, out.shape))
 
     def _build_dlinear(self):
         i, l = self.config.input_len, self.config.horizon
@@ -334,11 +333,19 @@ class Forecaster:
         self.w_seasonal = self._weight("w_seasonal", l, i)
         self.b = self._bias("b", l)
 
+    def _forward_dlinear(self, xc: Tensor) -> Tensor:
+        # the input never requires grad, so trend and seasonal part are constants
+        trend = moving_average(xc.data, self.config.ma_kernel)
+        return dense(Tensor(trend), self.w_trend) + dense(Tensor(xc.data - trend), self.w_seasonal) + self.b
+
     def _build_slp(self):
         l = self.config.horizon
         self.embed = self._addt2v("embed")
         self.w = self._weight("head.w", l, l)
         self.b = self._bias("head.b", l)
+
+    def _forward_slp(self, xc: Tensor) -> Tensor:
+        return dense(addt2v_forward(self.embed, xc), self.w, self.b).sin()
 
     def _build_mlp(self):
         i, l = self.config.input_len, self.config.horizon
@@ -349,6 +356,11 @@ class Forecaster:
         self.w3 = self._weight("w3", l, l)
         self.b3 = self._bias("b3", l)
 
+    def _forward_mlp(self, xc: Tensor) -> Tensor:
+        h1 = dense(xc, self.w1, self.b1).relu()
+        h2 = dense(h1, self.w2, self.b2).relu()
+        return dense(h2, self.w3, self.b3)
+
     def _build_sencoder(self):
         d = self.config.d_model
         self.embed = self._addt2v("embed")
@@ -358,38 +370,18 @@ class Forecaster:
         self.w_head = self._weight("head.w", 1, d)
         self.b_head = self._bias("head.b", 1)
 
+    def _forward_sencoder(self, xc: Tensor) -> Tensor:
+        return self._head(encoder_block(self.encoder, self._embed_sequence(xc)))
+
     def _build_sinformer(self):
         self._build_sencoder()
         self.decoder = self._decoder_params("dec")
         self._mask = causal_mask(self.config.horizon)
 
-    # -- forward ------------------------------------------------------------
-
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def forward(self, x: Tensor) -> Tensor:
-        cfg = self.config
-        if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.channels:
-            raise ShapeError(
-                f"{cfg.variant}: expected [B, {cfg.input_len}, {cfg.channels}], got {x.shape}"
-            )
-        if cfg.variant == "Persistence":
-            return persistence_forecast(x, cfg.horizon)
-        if cfg.variant in ("Linear", "NLinear", "DLinear"):
-            return linear_family_forward(self, x)
-        if cfg.variant == "SLP":
-            return slp_forward(self, x)
-        if cfg.variant == "MLP":
-            return mlp_forward(self, x)
-        if cfg.variant == "Sencoder":
-            return sencoder_forward(self, x)
-        return sinformer_forward(self, x)
-
-    __call__ = forward
+    def _forward_sinformer(self, xc: Tensor) -> Tensor:
+        seq = self._embed_sequence(xc)
+        z = encoder_block(self.encoder, seq)
+        return self._head(decoder_block(self.decoder, seq, z, self._mask))
 
     def _embed_sequence(self, xc: Tensor) -> Tensor:
         """AddT2V then scalar-per-step projection into d_model: [N, I] -> [N, L, d]."""
@@ -402,56 +394,31 @@ class Forecaster:
         n, l, _ = z.shape
         return dense(z, self.w_head, self.b_head).reshape(n, l).sin()
 
+    # -- forward ------------------------------------------------------------
 
-def linear_family_forward(model: Forecaster, x: Tensor) -> Tensor:
-    b, _, c = x.shape
-    xc = _fold_channels(x)
-    variant = model.config.variant
-    if variant == "Linear":
-        out = dense(xc, model.w, model.b)
-    elif variant == "NLinear":
-        # the input never requires grad, so its last value is a constant
-        last = xc.data[:, -1:]
-        out = dense(Tensor(xc.data - last), model.w, model.b)
-        out = out + Tensor(np.broadcast_to(last, out.shape))
-    elif variant == "DLinear":
-        # the input never requires grad, so trend and seasonal part are constants
-        trend = moving_average(xc.data, model.config.ma_kernel)
-        out = dense(Tensor(trend), model.w_trend) + dense(Tensor(xc.data - trend), model.w_seasonal) + model.b
-    else:
-        raise ConfigError(f"{variant} is not a linear-family variant")
-    return _unfold_channels(out, b, c)
+    def parameters(self) -> list[Parameter]:
+        return list(self.params.values())
 
+    def n_parameters(self) -> int:
+        return sum(p.size for p in self.parameters())
 
-def slp_forward(model: Forecaster, x: Tensor) -> Tensor:
-    b, _, c = x.shape
-    h = addt2v_forward(model.embed, _fold_channels(x))
-    out = dense(h, model.w, model.b).sin()
-    return _unfold_channels(out, b, c)
+    def forward(self, x: Tensor) -> Tensor:
+        """[B, I, C] -> [B, L, C], through the variant's ``_forward_`` method on
+        the folded [B*C, I] rows. It is looked up on each call: a bound method
+        stored on the model would make a cycle only the cycle collector frees."""
+        cfg = self.config
+        if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.channels:
+            raise ShapeError(
+                f"{cfg.variant}: expected [B, {cfg.input_len}, {cfg.channels}], got {x.shape}"
+            )
+        if cfg.variant == "Persistence":
+            return persistence_forecast(x, cfg.horizon)
+        b, i, c = x.shape
+        xc = x.transpose((0, 2, 1)).reshape(b * c, i)
+        out = getattr(self, f"_forward_{cfg.variant.lower()}")(xc)
+        return out.reshape(b, c, cfg.horizon).transpose((0, 2, 1))
 
-
-def mlp_forward(model: Forecaster, x: Tensor) -> Tensor:
-    b, _, c = x.shape
-    xc = _fold_channels(x)
-    h1 = dense(xc, model.w1, model.b1).relu()
-    h2 = dense(h1, model.w2, model.b2).relu()
-    out = dense(h2, model.w3, model.b3)
-    return _unfold_channels(out, b, c)
-
-
-def sencoder_forward(model: Forecaster, x: Tensor) -> Tensor:
-    b, _, c = x.shape
-    seq = model._embed_sequence(_fold_channels(x))
-    z = encoder_block(model.encoder, seq)
-    return _unfold_channels(model._head(z), b, c)
-
-
-def sinformer_forward(model: Forecaster, x: Tensor) -> Tensor:
-    b, _, c = x.shape
-    seq = model._embed_sequence(_fold_channels(x))
-    z = encoder_block(model.encoder, seq)
-    dec = decoder_block(model.decoder, seq, z, model._mask)
-    return _unfold_channels(model._head(dec), b, c)
+    __call__ = forward
 
 
 # The first line of every checkpoint holds this tag; `load_checkpoint`
@@ -557,6 +524,8 @@ def load_checkpoint(path) -> Forecaster:
                 raise ConfigError(f"checkpoint {path}: file ended inside {name}")
             if sys.byteorder == "big":  # the saved bytes are little-endian
                 p.data.byteswap(inplace=True)
-            if not np.isfinite(p.data).all():
+            # NaN carries through min and max, and an infinity is one of them:
+            # no mask the size of the parameter is made
+            if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):
                 raise ConfigError(f"checkpoint {name}: non-finite values")
     return model

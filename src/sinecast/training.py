@@ -182,7 +182,6 @@ def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor
     for w in weights:
         term = np.abs(w.data).sum() * l1 + (w.data * w.data).sum() * l2
         total = term if total is None else total + term
-    out = Tensor._from_op(np.asarray(total), weights, None, "elastic_net")
 
     def bw(g):
         c1, c2 = g * l1, g * l2
@@ -199,8 +198,7 @@ def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor
             grad += m
             w.grad = grad
 
-    out._backward = bw if out.requires_grad else None
-    return out
+    return Tensor._from_op(np.asarray(total), weights, bw, "elastic_net")
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,6 @@ def train_model(
     best_params: dict[str, np.ndarray] = {}
     started = time.perf_counter()
 
-    log_rows = []
     for epoch in range(sched.n_epochs):
         lr = lr_at_epoch(sched, epoch)
         loss_sum = 0.0
@@ -301,7 +298,6 @@ def train_model(
         train_losses.append(train_loss)
         val_maes.append(val_mae)
         lrs.append(lr)
-        log_rows.append((epoch, lr, train_loss, val_mae))
         if val_mae < best_val:
             best_val = val_mae
             best_epoch = epoch
@@ -314,7 +310,7 @@ def train_model(
         with open(log_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "lr", "train_loss", "val_mae"])
-            writer.writerows(log_rows)
+            writer.writerows(zip(range(sched.n_epochs), lrs, train_losses, val_maes))
 
     return TrainReport(
         train_losses=train_losses,

@@ -9,11 +9,10 @@ import pytest
 from sinecast import autodiff
 from sinecast.autodiff import Tensor, no_grad
 from sinecast.data import TimeSeriesTable, make_windows
-from sinecast.errors import ConfigError, ShapeError
+from sinecast.errors import ConfigError
 from sinecast.evaluation import (
     evaluate,
     improvement,
-    mae,
     mean_improvements,
 )
 from sinecast.models import VARIANTS, Forecaster, ModelConfig
@@ -51,33 +50,6 @@ class Windows:
         time.sleep(0.1)
         self.done.append(int(idx[0]))
         return self.ds.gather(idx)
-
-
-class TestMae:
-    def test_identical_arrays(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 4))
-        assert mae(x, x.copy()) == 0.0
-
-    def test_small_example(self):
-        assert mae(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == 1.5
-
-    def test_matches_flat_loop(self):
-        rng = np.random.default_rng(1)
-        p = rng.normal(size=(3, 4, 2))
-        t = rng.normal(size=(3, 4, 2))
-        total = 0.0
-        for i in range(3):
-            for j in range(4):
-                for c in range(2):
-                    total += abs(p[i, j, c] - t[i, j, c])
-        assert abs(mae(p, t) - total / 24) < 1e-12
-
-    def test_accepts_tensors(self):
-        assert mae(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mae(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestEvaluate:

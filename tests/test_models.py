@@ -2,10 +2,12 @@
 finite-difference gradient checks for every trainable variant."""
 
 import base64
+import gc
 import io
 import json
 import re
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -420,6 +422,19 @@ class TestFullModels:
         alone = np.concatenate([m(Tensor(x[i:i + 1])).data for i in range(4)])
         assert np.abs(together - alone).max() < 1e-12
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_model_freed_without_the_cycle_collector(self, variant):
+        # a forward stores no bound method (a model -> method -> model cycle)
+        m = Forecaster(toy_config(variant, seed=13))
+        m(Tensor(np.ones((2, 8, 1))))
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("variant", ["Sencoder", "Sinformer"])
     def test_attention_model_gradients(self, variant):
         m = Forecaster(toy_config(variant, seed=12))
@@ -758,6 +773,30 @@ class TestCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < m.params["w"].data.nbytes + 1_000_000, peak
+
+    @pytest.mark.parametrize("variant", ["Linear", "SLP", "MLP"])
+    def test_load_peak_beyond_the_parameters_stays_small(self, tmp_path, variant):
+        # the finiteness check makes no mask the size of a parameter (a
+        # [720, 720] weight's mask alone is 518 KB)
+        m = Forecaster(ModelConfig(variant=variant, input_len=720, horizon=720, channels=1))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * m.n_parameters() < 64 * 1024, peak
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_parameter_rejected(self, tmp_path, value):
+        m, path = self._saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = f64_bytes([value])  # the last element of the last parameter, b
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="checkpoint b: non-finite"):
+            load_checkpoint(path)
 
     def test_save_allocates_no_parameter_sized_copy(self, tmp_path):
         m = Forecaster(ModelConfig(variant="Linear", input_len=720, horizon=720, channels=1))

@@ -419,6 +419,50 @@ class TestTrainModel:
         train_model(model, train, val, self._config(n_epochs=2))
         assert alive_at_validation == [False, False]
 
+    _ATTENTION = "dense dense dense multi_head_attention dense add layer_norm"
+    _ENCODER = f"{_ATTENTION} dense relu dense add layer_norm"
+    _EMBED = "dense dense sin add reshape dense"
+    _STEP_OPS = {
+        "Linear": "dense",
+        "NLinear": "dense add",
+        "DLinear": "dense dense add add",
+        "SLP": "dense dense sin add dense sin",
+        "MLP": "dense relu dense relu dense",
+        "Sencoder": f"{_EMBED} {_ENCODER} dense reshape sin",
+        "Sinformer": f"{_EMBED} {_ENCODER} {_ATTENTION} {_ATTENTION} dense relu dense add layer_norm"
+                     " dense reshape sin",
+    }
+
+    @pytest.mark.parametrize("variant", list(_STEP_OPS))
+    def test_training_step_op_sequence(self, monkeypatch, variant):
+        # one MAE step of train_model, batch to loss: the channels are folded
+        # and unfolded around the variant's ops, the MLP adds its penalty
+        train, val = self._datasets(input_len=8, horizon=8)
+        model = Forecaster(ModelConfig(variant=variant, input_len=8, horizon=8, channels=1,
+                                       d_model=8, n_heads=2, ffn_dim=8, ma_kernel=3))
+        nodes = []
+        original = Tensor.__dict__["_from_op"].__func__
+
+        def recording(cls, data, parents, backward_fn, op):
+            nodes.append(original(cls, data, parents, backward_fn, op))
+            return nodes[-1]
+
+        class FirstStep(Exception):
+            pass
+
+        def stop(loss):
+            raise FirstStep
+
+        monkeypatch.setattr(Tensor, "_from_op", classmethod(recording))
+        monkeypatch.setattr(training, "backward", stop)
+        with pytest.raises(FirstStep):
+            train_model(model, train, val, self._config(n_epochs=2))
+        loss = " elastic_net add" if variant == "MLP" else ""
+        expected = f"transpose reshape {self._STEP_OPS[variant]} reshape transpose sub abs mean{loss}"
+        assert [n.op for n in nodes] == expected.split()
+        taped = [n for n in nodes if n.requires_grad]
+        assert taped and all(n._backward is not None for n in taped)
+
     def test_persistence_is_not_trainable(self):
         train, val = self._datasets()
         model = Forecaster(ModelConfig(variant="Persistence", input_len=24, horizon=12, channels=1))
