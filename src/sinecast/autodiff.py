@@ -13,7 +13,7 @@ filled by :func:`backward`.
 
 Broadcasting is deliberately restricted: elementwise ops require equal
 shapes, and addition additionally accepts a right operand whose shape
-matches the trailing axes of the left one (row-wise bias, additive masks).
+matches the trailing axes of the left one (a row-wise bias).
 Anything else raises ShapeError so that model wiring bugs stay loud.
 
 Where a chain of ops would only build one formula, it is one op instead, so
@@ -58,6 +58,10 @@ _grad_mode = threading.local()
 # Upper bound on one batch chunk's [c, m, n] attention score block: small
 # enough to stay in a core's L2 while the softmax passes run over it.
 _CHUNK_BYTES = 1 << 18
+
+# Added to a causal attention score above the diagonal: exp of it underflows
+# to zero, so a query gets no weight on later keys.
+_MASK_FILL = -1e9
 
 # The CPUs this process may run on (`taskset` narrows them): attention splits
 # its batch chunks, and scoring its batches, into at most this many parts.
@@ -165,7 +169,7 @@ class Tensor:
         if self.shape == other.shape:
             reduce_axes = None
         elif other.ndim < self.ndim and self.shape[self.ndim - other.ndim:] == other.shape:
-            # trailing broadcast: bias vectors, additive masks
+            # trailing broadcast: bias vectors
             reduce_axes = tuple(range(self.ndim - other.ndim))
         else:
             raise ShapeError(f"add: shapes {self.shape} and {other.shape} do not align")
@@ -277,10 +281,9 @@ class Parameter(Tensor):
     caller's array.
     """
 
-    def __init__(self, data, name: str, is_bias: bool = False):
+    def __init__(self, data, name: str):
         super().__init__(np.array(data, dtype=np.float64, order="C"), requires_grad=True)
         self.name = name
-        self.is_bias = is_bias
 
     @classmethod
     def _unset(cls, shape: tuple[int, ...], name: str) -> "Parameter":
@@ -364,15 +367,16 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     return Tensor._from_op(xhat * gamma.data + beta.data, (x, gamma, beta), bw, "layer_norm")
 
 
-def multi_head_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: Tensor | None = None
-) -> Tensor:
-    """softmax(q_h k_h^T / sqrt(d_h) + mask) v_h for each of `n_heads` heads.
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False) -> Tensor:
+    """softmax(q_h k_h^T / sqrt(d_h)) v_h for each of `n_heads` heads.
 
     q is [..., m, d], k is [..., n, d] and v is [..., n, e] with the same
     leading axes; head h reads the h-th of `n_heads` equal slices of the last
-    axis of each, and writes the same slice of the [..., m, e] output. The
-    optional mask is a constant additive [m, n] array.
+    axis of each, and writes the same slice of the [..., m, e] output. A
+    causal call lets query i attend to keys 0..i only: `_MASK_FILL` is added
+    to every score above the diagonal before the softmax, through one [m, n]
+    array made for the call and dropped with it. Backward never reads it: the
+    fill is a constant, and the zero probabilities it leaves pass no gradient.
 
     The leading axes are flattened into one batch axis, which is walked in
     chunks sized so that one chunk's [c, m, n] score block (at most
@@ -391,7 +395,7 @@ def multi_head_attention(
     dS = P * (dP - rowsum(dP * P)) (the form FlashAttention uses, Dao et al.
     2022), so its transients are one chunk per part. Each batch element sees
     the same float operations, in the same order, as composing a batched
-    matrix product, scale, mask add, max-shifted softmax and a batched matrix
+    matrix product, scale, causal fill, max-shifted softmax and a batched matrix
     product node by node, so the results equal that composition bit for bit,
     whatever the chunk size and the CPU count. On a 2-CPU Xeon VM with one
     BLAS thread, at [32, 192, 32] inputs and 4 heads, two parts take the taped
@@ -408,12 +412,8 @@ def multi_head_attention(
         raise ShapeError(
             f"multi_head_attention: widths {q.shape[-1]} and {v.shape[-1]} not divisible by {n_heads} heads"
         )
-    if mask is not None:
-        if mask.shape != (q.shape[-2], k.shape[-2]):
-            raise ShapeError(f"multi_head_attention: mask {mask.shape} vs scores {q.shape[-2]}x{k.shape[-2]}")
-        if mask.requires_grad:
-            raise GraphError("multi_head_attention: the mask must be a constant")
     (m, d), (n, e) = q.shape[-2:], v.shape[-2:]
+    fill = np.triu(np.full((m, n), _MASK_FILL), k=1) if causal else None
     qf, kf, vf = q.data.reshape(-1, m, d), k.data.reshape(-1, n, d), v.data.reshape(-1, n, e)
     batch = qf.shape[0]
     c = max(1, _CHUNK_BYTES // (m * n * 8))
@@ -433,8 +433,8 @@ def multi_head_attention(
                 p = probs[h][sl] if taped else block[: sl.stop - sl.start]
                 np.matmul(qf[sl, :, qk], np.swapaxes(kf[sl, :, qk], -1, -2), out=p)
                 p *= scale
-                if mask is not None:
-                    p += mask.data
+                if causal:
+                    p += fill
                 p -= p.max(axis=-1, keepdims=True)
                 np.exp(p, out=p)
                 p /= p.sum(axis=-1, keepdims=True)

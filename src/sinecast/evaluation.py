@@ -26,10 +26,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalResult:
-    dataset: str
-    model: str
-    horizon: int
-    input_len: int
     mae: float
     n_windows: int
 
@@ -54,7 +50,8 @@ def evaluate(
     absolute-error sum and count go into its own slot, and the slots are
     added in batch order, so the MAE is bit-identical to a serial loop over
     the batches whatever the CPU count. It does depend on `batch_size`: each
-    batch's sum is rounded before it is added.
+    batch's sum is rounded before it is added. `dataset_name` only names the
+    test set in the error for an empty one.
     """
     if batch_size < 1:
         raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
@@ -77,14 +74,7 @@ def evaluate(
     for batch_sum, batch_count in slots:
         abs_sum += batch_sum
         count += batch_count
-    return EvalResult(
-        dataset=dataset_name,
-        model=model.config.variant,
-        horizon=model.config.horizon,
-        input_len=model.config.input_len,
-        mae=abs_sum / count,
-        n_windows=n,
-    )
+    return EvalResult(mae=abs_sum / count, n_windows=n)
 
 
 def improvement(baseline_mae: float, model_mae: float) -> float:

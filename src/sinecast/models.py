@@ -51,8 +51,6 @@ VARIANTS = (
     "Sinformer",
 )
 
-MASK_FILL = -1e9
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -142,22 +140,21 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
     return sliding_window_view(padded, kernel, axis=-1).mean(axis=-1)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor | None = None, n_heads: int = 1) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v per head, for [m, d] rows or [N, m, d] batches.
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False, n_heads: int = 1) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v per head, for [m, d] rows or [N, m, d] batches.
 
     One autodiff op (:func:`multi_head_attention`) that keeps only the
-    softmax probabilities of each head for backward.
+    softmax probabilities of each head for backward. With `causal`, query i
+    attends to keys 0..i only.
     """
-    return multi_head_attention(q, k, v, n_heads, mask)
+    return multi_head_attention(q, k, v, n_heads, causal)
 
 
-def _multi_head(
-    p: AttentionParams, n_heads: int, q_src: Tensor, kv_src: Tensor, mask: Tensor | None = None
-) -> Tensor:
+def _multi_head(p: AttentionParams, n_heads: int, q_src: Tensor, kv_src: Tensor, causal: bool = False) -> Tensor:
     q = dense(q_src, p.w_q)
     k = dense(kv_src, p.w_k)
     v = dense(kv_src, p.w_v)
-    return dense(attention(q, k, v, mask, n_heads), p.w_o)
+    return dense(attention(q, k, v, causal, n_heads), p.w_o)
 
 
 def _ffn(p: FeedForwardParams, x: Tensor) -> Tensor:
@@ -170,20 +167,16 @@ def encoder_block(params: AttentionBlockParams, x: Tensor) -> Tensor:
     return layer_norm_rows(y + _ffn(params.ffn, y), params.norm2.gamma, params.norm2.beta)
 
 
-def decoder_block(params: DecoderBlockParams, x: Tensor, memory: Tensor, mask: Tensor | None) -> Tensor:
-    """Masked self-attention, cross-attention over `memory`, then FFN."""
+def decoder_block(params: DecoderBlockParams, x: Tensor, memory: Tensor) -> Tensor:
+    """Causal self-attention (step i sees steps 0..i of `x`), cross-attention
+    over all of `memory`, then FFN."""
     a = layer_norm_rows(
-        x + _multi_head(params.self_attn, params.n_heads, x, x, mask), params.norm1.gamma, params.norm1.beta
+        x + _multi_head(params.self_attn, params.n_heads, x, x, causal=True), params.norm1.gamma, params.norm1.beta
     )
     b = layer_norm_rows(
         a + _multi_head(params.cross_attn, params.n_heads, a, memory), params.norm2.gamma, params.norm2.beta
     )
     return layer_norm_rows(b + _ffn(params.ffn, b), params.norm3.gamma, params.norm3.beta)
-
-
-def causal_mask(length: int) -> Tensor:
-    """Additive [length, length] mask: 0 at or below the diagonal, large negative above."""
-    return Tensor(np.triu(np.full((length, length), MASK_FILL), k=1))
 
 
 def persistence_forecast(x: Tensor, horizon: int) -> Tensor:
@@ -246,13 +239,13 @@ class Forecaster:
         return p
 
     def _bias(self, name: str, dim: int) -> Parameter:
-        p = Parameter(np.zeros(dim), name, is_bias=True)
+        p = Parameter(np.zeros(dim), name)
         self.params[name] = p
         return p
 
     def _norm(self, prefix: str, dim: int) -> NormParams:
         gamma = Parameter(np.ones(dim), f"{prefix}.gamma")
-        beta = Parameter(np.zeros(dim), f"{prefix}.beta", is_bias=True)
+        beta = Parameter(np.zeros(dim), f"{prefix}.beta")
         self.params[gamma.name] = gamma
         self.params[beta.name] = beta
         return NormParams(gamma, beta)
@@ -376,12 +369,11 @@ class Forecaster:
     def _build_sinformer(self):
         self._build_sencoder()
         self.decoder = self._decoder_params("dec")
-        self._mask = causal_mask(self.config.horizon)
 
     def _forward_sinformer(self, xc: Tensor) -> Tensor:
         seq = self._embed_sequence(xc)
         z = encoder_block(self.encoder, seq)
-        return self._head(decoder_block(self.decoder, seq, z, self._mask))
+        return self._head(decoder_block(self.decoder, seq, z))
 
     def _embed_sequence(self, xc: Tensor) -> Tensor:
         """AddT2V then scalar-per-step projection into d_model: [N, I] -> [N, L, d]."""

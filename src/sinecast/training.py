@@ -166,7 +166,8 @@ def adam_step(state: AdamState, lr: float) -> None:
 
 
 def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor:
-    """l1*sum|w| + l2*sum(w^2) over weight matrices; biases and norm gains excluded.
+    """l1*sum|w| + l2*sum(w^2) over the weight matrices, the parameters of two or
+    more axes; biases and layer-norm parameters are 1-D and excluded.
 
     One autodiff node that keeps no weight-sized array. Its backward adds
     (g*l1)*sign(w) and twice (g*l2)*w to each weight's gradient, in the
@@ -175,7 +176,7 @@ def elastic_net_penalty(params: list[Parameter], l1: float, l2: float) -> Tensor
     """
     if l1 < 0 or l2 < 0:
         raise ConfigError(f"penalty strengths must be non-negative, got l1={l1}, l2={l2}")
-    weights = [p for p in params if not (getattr(p, "is_bias", False) or p.ndim < 2)]
+    weights = [p for p in params if p.ndim >= 2]
     if not weights:
         return Tensor(0.0)
     total = None

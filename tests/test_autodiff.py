@@ -47,23 +47,24 @@ def rel_err(a, b):
 def softmax_of(logits):
     """Row softmax of `logits` as computed inside multi_head_attention.
 
-    Zero queries make every score zero, the logits enter as the additive
-    mask, and identity values return the probabilities themselves.
+    Identity keys make the scores the queries over sqrt(n), so queries of
+    logits * sqrt(n) inject the logits, and identity values return the
+    probabilities themselves.
     """
     m, n = logits.shape
-    zeros = Tensor(np.zeros((m, 1)))
-    return multi_head_attention(zeros, Tensor(np.zeros((n, 1))), Tensor(np.eye(n)), 1, Tensor(logits)).data
+    eye = Tensor(np.eye(n))
+    return multi_head_attention(Tensor(logits * np.sqrt(n)), eye, eye, 1).data
 
 
-def reference_attention(q, k, v, n_heads, mask=None):
+def reference_attention(q, k, v, n_heads, causal=False):
     """Plain numpy multi-head attention, one head at a time."""
     dk, dv = q.shape[-1] // n_heads, v.shape[-1] // n_heads
     heads = []
     for h in range(n_heads):
         qh, kh, vh = q[..., h * dk:(h + 1) * dk], k[..., h * dk:(h + 1) * dk], v[..., h * dv:(h + 1) * dv]
         s = qh @ np.swapaxes(kh, -1, -2) / np.sqrt(dk)
-        if mask is not None:
-            s = s + mask
+        if causal:
+            s = s + np.triu(np.full(s.shape[-2:], -1e9), k=1)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         heads.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
     return np.concatenate(heads, axis=-1)
@@ -451,66 +452,57 @@ class TestDense:
             dense(x, Tensor(np.zeros(5)))
 
 
-def causal(m, n):
-    return np.triu(np.full((m, n), -1e9), k=1)
-
-
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("n_heads", [1, 4])
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("m, n", [(5, 5), (3, 6)])
-    def test_gradients(self, n_heads, masked, m, n):
+    def test_gradients(self, n_heads, causal, m, n):
         rng = np.random.default_rng(40)
         q = Parameter(rng.normal(size=(2, m, 8)), "q")
         k = Parameter(rng.normal(size=(2, n, 8)), "k")
         v = Parameter(rng.normal(size=(2, n, 8)), "v")
         w = Tensor(rng.normal(size=(2, m, 8)))
-        mask = Tensor(causal(m, n)) if masked else None
         err = grad_check(
-            lambda: (multi_head_attention(q, k, v, n_heads, mask) * w).sum(),
+            lambda: (multi_head_attention(q, k, v, n_heads, causal) * w).sum(),
             [q, k, v],
             max_coords_per_param=200,
         )
         assert err < 1e-7
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_matches_per_head_reference(self, n_heads, masked):
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_matches_per_head_reference(self, n_heads, causal):
         rng = np.random.default_rng(41)
         q = rng.normal(size=(3, 4, 8)) * 2
         k = rng.normal(size=(3, 7, 8)) * 2
         v = rng.normal(size=(3, 7, 12))
-        mask = causal(4, 7) if masked else None
-        got = multi_head_attention(
-            Tensor(q), Tensor(k), Tensor(v), n_heads, None if mask is None else Tensor(mask)
-        ).data
-        assert np.abs(got - reference_attention(q, k, v, n_heads, mask)).max() < 1e-12
+        got = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), n_heads, causal).data
+        assert np.abs(got - reference_attention(q, k, v, n_heads, causal)).max() < 1e-12
 
     @staticmethod
-    def _taped(q, k, v, g, n_heads, mask):
+    def _taped(q, k, v, g, n_heads, causal):
         qt, kt, vt = Parameter(q, "q"), Parameter(k, "k"), Parameter(v, "v")
-        out = multi_head_attention(qt, kt, vt, n_heads, mask)
+        out = multi_head_attention(qt, kt, vt, n_heads, causal)
         backward((out * Tensor(g)).sum())
         return [out.data, qt.grad, kt.grad, vt.grad]
 
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("causal", [False, True])
     @pytest.mark.parametrize("lead, m, n", [((7,), 4, 4), ((7,), 3, 6), ((), 5, 5), ((2, 3), 4, 6)])
-    def test_batch_chunks_match_one_chunk_exactly(self, monkeypatch, set_cpus, lead, m, n, masked):
+    def test_batch_chunks_match_one_chunk_exactly(self, monkeypatch, set_cpus, lead, m, n, causal):
         rng = np.random.default_rng(42)
         q, k = rng.normal(size=lead + (m, 8)), rng.normal(size=lead + (n, 8))
         v, g = rng.normal(size=lead + (n, 4)), rng.normal(size=lead + (m, 4))
-        mask = Tensor(causal(m, n)) if masked else None
         set_cpus(1)
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 1 << 40)
-        whole = self._taped(q, k, v, g, 2, mask)
+        whole = self._taped(q, k, v, g, 2, causal)
         # three [m, n] float64 blocks per chunk: a batch of 7 runs as 3 + 3 + 1
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 3 * m * n * 8)
         # parts: one, two, one per chunk (batch 7), and more CPUs than chunks
         for cpus in (1, 2, 3, 8):
             set_cpus(cpus)
-            chunked = self._taped(q, k, v, g, 2, mask)
+            chunked = self._taped(q, k, v, g, 2, causal)
             with no_grad():
-                free = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, mask).data
+                free = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, causal).data
             for a, b in zip(whole, chunked):
                 assert np.array_equal(a, b)
             assert np.array_equal(free, whole[0])
@@ -521,12 +513,12 @@ class TestMultiHeadAttention:
         threads = threading.active_count()
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # seven chunks
         set_cpus(1)
-        self._taped(q, k, v, g, 2, None)
+        self._taped(q, k, v, g, 2, False)
         with no_grad():
             multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2)
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 1 << 40)  # one chunk
         set_cpus(4)
-        self._taped(q, k, v, g, 2, None)
+        self._taped(q, k, v, g, 2, False)
         assert autodiff._pool is None
         assert threading.active_count() == threads
 
@@ -536,7 +528,7 @@ class TestMultiHeadAttention:
         q, k, v, g = (rng.normal(size=(6, 4, 8)) for _ in range(4))
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # six chunks, two parts
         set_cpus(1)
-        expected = self._taped(q, k, v, g, 2, None)
+        expected = self._taped(q, k, v, g, 2, False)
         set_cpus(2)
         run_split, finished = autodiff._run_split, []
 
@@ -555,7 +547,7 @@ class TestMultiHeadAttention:
             multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2)
         assert len(finished) == 1 and len(finished[0]) == 3
         monkeypatch.setattr(autodiff, "_run_split", run_split)
-        for a, b in zip(expected, self._taped(q, k, v, g, 2, None)):
+        for a, b in zip(expected, self._taped(q, k, v, g, 2, False)):
             assert np.array_equal(a, b)
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch, set_cpus):
@@ -563,7 +555,7 @@ class TestMultiHeadAttention:
         q, k, v, g = (rng.normal(size=(9, 4, 8)) for _ in range(4))
         monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 4 * 4 * 8)  # nine chunks
         set_cpus(1)
-        expected = self._taped(q, k, v, g, 2, None)
+        expected = self._taped(q, k, v, g, 2, False)
         set_cpus(3)
         pools = []
 
@@ -577,7 +569,7 @@ class TestMultiHeadAttention:
 
         def caller():
             for _ in range(5):
-                results.append(self._taped(q, k, v, g, 2, None))
+                results.append(self._taped(q, k, v, g, 2, False))
 
         callers = [threading.Thread(target=caller) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -605,13 +597,6 @@ class TestMultiHeadAttention:
             multi_head_attention(z, z, z, 3)
         with pytest.raises(ShapeError):
             multi_head_attention(z, z, z, 0)
-        with pytest.raises(ShapeError):
-            multi_head_attention(z, z, z, 2, Tensor(np.zeros((3, 4))))
-
-    def test_mask_must_be_constant(self):
-        z = Tensor(np.zeros((3, 4)))
-        with pytest.raises(GraphError):
-            multi_head_attention(z, z, z, 1, Parameter(np.zeros((3, 3)), "mask"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -672,7 +657,6 @@ class TestGradCheckHelper:
 class TestParameter:
     def test_names_and_flags(self):
         p = Parameter(np.zeros((2, 2)), "layer.weight")
-        b = Parameter(np.zeros(2), "layer.bias", is_bias=True)
-        assert p.name == "layer.weight" and not p.is_bias
-        assert b.is_bias
+        b = Parameter(np.zeros(2), "layer.bias")
+        assert p.name == "layer.weight" and b.name == "layer.bias"
         assert p.requires_grad and b.requires_grad

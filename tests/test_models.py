@@ -22,7 +22,6 @@ from sinecast.models import (
     ModelConfig,
     addt2v_forward,
     attention,
-    causal_mask,
     decoder_block,
     encoder_block,
     load_checkpoint,
@@ -300,11 +299,10 @@ class TestAttention:
         q = Tensor(rng.normal(size=(5, 4)))
         k = Tensor(rng.normal(size=(5, 4)))
         v = rng.normal(size=(5, 4))
-        mask = causal_mask(5)
-        base = attention(q, k, Tensor(v), mask).data
+        base = attention(q, k, Tensor(v), causal=True).data
         v2 = v.copy()
         v2[3:] += 100.0  # rows later than position 2
-        bumped = attention(q, k, Tensor(v2), mask).data
+        bumped = attention(q, k, Tensor(v2), causal=True).data
         assert np.abs(base[:3] - bumped[:3]).max() < 1e-12
         assert np.abs(base[3:] - bumped[3:]).max() > 1.0
 
@@ -359,8 +357,8 @@ class TestDecoderWiring:
         x = Tensor(rng.normal(size=(2, 8, 8)))
         mem1 = Tensor(rng.normal(size=(2, 8, 8)))
         mem2 = Tensor(mem1.data + rng.normal(size=(2, 8, 8)))
-        out1 = decoder_block(m.decoder, x, mem1, m._mask).data
-        out2 = decoder_block(m.decoder, x, mem2, m._mask).data
+        out1 = decoder_block(m.decoder, x, mem1).data
+        out2 = decoder_block(m.decoder, x, mem2).data
         assert np.abs(out1 - out2).max() < 1e-12
 
     def test_masked_self_attention_is_causal(self):
@@ -370,10 +368,10 @@ class TestDecoderWiring:
         rng = np.random.default_rng(22)
         x = rng.normal(size=(1, 8, 8))
         mem = Tensor(rng.normal(size=(1, 8, 8)))
-        base = decoder_block(m.decoder, Tensor(x), mem, m._mask).data
+        base = decoder_block(m.decoder, Tensor(x), mem).data
         x2 = x.copy()
         x2[:, 5:, :] += 10.0  # only positions after index 4 change
-        bumped = decoder_block(m.decoder, Tensor(x2), mem, m._mask).data
+        bumped = decoder_block(m.decoder, Tensor(x2), mem).data
         assert np.abs(base[:, :5, :] - bumped[:, :5, :]).max() < 1e-12
 
 
@@ -434,6 +432,20 @@ class TestFullModels:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_sinformer_holds_no_horizon_squared_constant(self):
+        # the decoder's causal self-attention stores nothing of [L, L]: at
+        # L=720 an additive mask alone would be 4.1 MB
+        def held(variant):
+            tracemalloc.start()
+            try:
+                model = Forecaster._unset(ModelConfig(variant=variant, input_len=720, horizon=720, channels=1))
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        extra = held("Sinformer") - held("Sencoder")
+        assert extra < 1_000_000, extra
 
     @pytest.mark.parametrize("variant", ["Sencoder", "Sinformer"])
     def test_attention_model_gradients(self, variant):
@@ -759,7 +771,6 @@ class TestCheckpoints:
         assert list(loaded.params) == list(m.params)
         for name, p in m.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-            assert loaded.params[name].is_bias == p.is_bias
 
     def test_load_peak_is_the_parameters(self, tmp_path):
         # no drawn weight beside the buffer it is copied into

@@ -282,7 +282,7 @@ class TestElasticNet:
 
     def test_biases_excluded(self):
         w = Parameter(np.array([[1.0]]), "w")
-        b = Parameter(np.array([100.0]), "b", is_bias=True)
+        b = Parameter(np.array([100.0]), "b")
         with_bias = elastic_net_penalty([w, b], 1e-5, 1e-4).item()
         without = elastic_net_penalty([w], 1e-5, 1e-4).item()
         assert with_bias == without
@@ -303,7 +303,7 @@ class TestElasticNet:
         """The penalty as a chain of abs, square, sum, scale and add nodes."""
         total = None
         for p in params:
-            if p.is_bias or p.ndim < 2:
+            if p.ndim < 2:
                 continue
             term = p.abs().sum() * l1 + (p * p).sum() * l2
             total = term if total is None else total + term
@@ -342,7 +342,7 @@ class TestElasticNet:
 
         monkeypatch.setattr(Tensor, "_from_op", classmethod(counting))
         w1, w2 = Parameter(np.ones((3, 2)), "w1"), Parameter(np.ones((2, 3)), "w2")
-        b = Parameter(np.ones(3), "b", is_bias=True)
+        b = Parameter(np.ones(3), "b")
         out = elastic_net_penalty([w1, b, w2], 1e-5, 1e-4)
         assert made == ["elastic_net"]
         assert out.shape == () and out._parents == (w1, w2)
