@@ -165,6 +165,7 @@ class ExperimentConfig:
             )
         # each value names its own cells, so a repeat would train them twice
         for key, values in (("horizons", self.horizons),
+                            ("models", self.models),
                             ("tuning.input_lens", self.tuning_input_lens),
                             ("tuning.train_portions", self.tuning_train_portions)):
             if values and len(set(values)) < len(values):
@@ -484,18 +485,20 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
 
     Attention is one autodiff op (``autodiff.multi_head_attention``). For
     backward it keeps, per attention site, one [batch, T, T] array of softmax
-    probabilities per head. Its forward and backward split the batch chunks
-    into one part per CPU, and each part works on one chunk and head at a
-    time, so their transients (the score block, dP overwritten into dS, and
-    dS * P) are one chunk per part: at most 256 KB each, or one [T, T] array
-    when that is larger. Scoring, which keeps no probabilities, holds one
+    probabilities per head. ``train_model`` drops each step's graph before
+    the next forward, which takes over those arrays, so every step holds one
+    set of them, not only the first. Its forward and backward split the
+    batch chunks into one part per CPU, and each part works on one chunk and
+    head at a time, so their transients (the score block, dP overwritten
+    into dS, and dS * P) are one chunk per part: at most 256 KB each, or one
+    [T, T] array when that is larger. Scoring, which keeps no probabilities, holds one
     batch per CPU, each running its attention as one part. The factor 4 per
     head and site covers the probabilities with room to spare. The
     projection, feed-forward and layer-norm activations are not counted, so
     at short horizons a step's measured peak can exceed this estimate (a
-    B=32 step's tracemalloc peak over this estimate: Sencoder 0.74 at T=96,
-    0.49 at 192, 0.39 at 336; Sinformer 0.60 at 96). Non-attention models
-    return 0.
+    B=32 step's tracemalloc peak over this estimate, the first step's and
+    every later one's: Sencoder 0.75 at T=96, 0.50 at 192, 0.40 at 336;
+    Sinformer 0.60 at 96). Non-attention models return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

@@ -247,7 +247,10 @@ def train_model(
     """Full training run: per-epoch LR decay, Adam, best-epoch restore.
 
     Deterministic given cfg.seed; validation never touches parameters or
-    optimizer state.
+    optimizer state. Each step's graph is dropped as soon as its Adam update
+    is done, so no step's graph is alive while the next one is built or
+    while validation runs; attention hands that graph's probability arrays
+    to the next step's forward.
     """
     if model.config.variant == "Persistence":
         raise ConfigError("non-trainable model: Persistence has no parameters")
@@ -289,8 +292,8 @@ def train_model(
             adam_step(state, lr)
             loss_sum += base.item() * len(xb)
             window_count += len(xb)
+            del pred, err, base, loss  # freed before the next forward and before validation
 
-        del pred, err, base, loss  # the last step's graph is not kept through validation
         train_loss = loss_sum / window_count
         digest_before = _state_digest(state)
         val_mae = evaluate(model, val, dataset_name="val", batch_size=cfg.eval_batch_size).mae

@@ -145,6 +145,12 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, models=["SLP", "Linear", "SLP"]))
         assert cfg.models == ("SLP", "Linear")
 
+    def test_repeated_models_rejected_when_built_directly(self):
+        # load_config drops repeats; a config built in code must not train a cell twice
+        with pytest.raises(ConfigError, match=r"models must not repeat a value, got \['Linear', 'Linear'\]"):
+            ExperimentConfig(name="tiny", source=DatasetSource(name="sine", synthetic={"kind": "sine", "n": 600}),
+                             split=SplitSpec(0.6, 0.2, 0.2), horizons=(24,), models=("Linear", "Linear"))
+
     def test_split_must_hold_numbers(self, tmp_path):
         with pytest.raises(ConfigError, match="'split' must be a list of three fractions"):
             load_config(write_config(tmp_path, split=["a", 0.2, 0.2]))

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sinecast import training
+from sinecast import autodiff, training
 from sinecast.autodiff import Parameter, Tensor, backward
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError, NumericError
@@ -403,21 +403,62 @@ class TestTrainModel:
         train, val = self._datasets(input_len=8, horizon=8)
         model = Forecaster(ModelConfig(variant=variant, input_len=8, horizon=8, channels=1,
                                        d_model=8, n_heads=2, ffn_dim=8, seed=2))
-        losses, alive_at_validation = [], []
-        real_backward, real_evaluate = training.backward, training.evaluate
+        losses, alive_at_validation, alive_at_forward = [], [], []
+        real_backward, real_evaluate, real_forward = training.backward, training.evaluate, Forecaster.__call__
+        validating = False
 
         def recording_backward(loss):
             losses.append(weakref.ref(loss))
             real_backward(loss)
 
         def checking_evaluate(*args, **kwargs):
+            nonlocal validating
             alive_at_validation.append(losses[-1]() is not None)
-            return real_evaluate(*args, **kwargs)
+            validating = True
+            try:
+                return real_evaluate(*args, **kwargs)
+            finally:
+                validating = False
+
+        def checking_forward(self, x):
+            # a step's forward: the previous step's graph must be gone already
+            if not validating and losses:
+                alive_at_forward.append(losses[-1]() is not None)
+            return real_forward(self, x)
 
         monkeypatch.setattr(training, "backward", recording_backward)
         monkeypatch.setattr(training, "evaluate", checking_evaluate)
+        monkeypatch.setattr(Forecaster, "__call__", checking_forward)
         train_model(model, train, val, self._config(n_epochs=2))
         assert alive_at_validation == [False, False]
+        assert len(alive_at_forward) == len(losses) - 1 > 2
+        assert not any(alive_at_forward)
+
+    def test_attention_step_holds_one_set_of_probabilities(self, monkeypatch):
+        # every later step peaks within a quarter of one probability set of
+        # the first; a previous graph kept alive through the next forward
+        # would add a whole set
+        train, val = self._datasets(input_len=8, horizon=48)
+        model = Forecaster(ModelConfig(variant="Sencoder", input_len=8, horizon=48, channels=1,
+                                       d_model=4, n_heads=2, ffn_dim=4, seed=3))
+        probs_bytes = 2 * 32 * 48 * 48 * 8  # two heads of [batch, L, L]
+        monkeypatch.setattr(autodiff, "_spare_probs", {})
+        real_adam = training.adam_step
+        peaks = []
+
+        def recording_adam(state, lr):
+            real_adam(state, lr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        monkeypatch.setattr(training, "adam_step", recording_adam)
+        tracemalloc.start()
+        try:
+            train_model(model, train, val, self._config(n_epochs=2))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 4
+        assert max(peaks) - peaks[0] < probs_bytes / 4, [p - peaks[0] for p in peaks]
 
     _ATTENTION = "dense dense dense multi_head_attention dense add layer_norm"
     _ENCODER = f"{_ATTENTION} dense relu dense add layer_norm"
