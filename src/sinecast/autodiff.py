@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -77,14 +76,6 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 # Set on a thread while it runs one of several parts; a split made there runs inline.
 _in_part = threading.local()
-
-# Probability arrays of dead taped attention nodes, keyed by their
-# [batch, m, n] shape and ready for the next taped call of that shape. At
-# most one shape is kept: taking or returning another shape drops the rest.
-# Reentrant, because a garbage collection on a thread that holds the lock
-# can finalize a node and return its arrays from inside it.
-_spare_probs: dict[tuple[int, int, int], list[np.ndarray]] = {}
-_spare_lock = threading.RLock()
 
 
 @contextmanager
@@ -396,16 +387,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
     such as a scoring batch): the calling thread runs the last part and a
     shared thread pool the others, and each part writes only its own chunks'
     slices. For backward the graph keeps only the probabilities P, one
-    [batch, m, n] array per head. When the node dies, a finalizer hands
-    these arrays to the next taped call of the same shape, which writes
-    every element before reading any: a training step reuses the previous
-    step's arrays instead of freeing them to the OS and page-faulting new
-    ones in. Only a dead node's arrays are reused, so graphs that are alive
-    at once never share one. The spare arrays are of one shape at most (a
-    call of another shape drops them), so at most one step's probabilities
-    wait there. When no graph is recorded, no probabilities are kept and
-    each part reuses one chunk-sized block for all its chunks and heads.
-    Backward walks the same chunks, parts and heads and uses
+    [batch, m, n] array per head (separate arrays, not one [H, ...] array: at
+    L=192, B=32 that exceeds glibc's 32 MB mmap threshold and is page-faulted
+    in afresh). When no graph is recorded, no probabilities are kept and each
+    part reuses one chunk-sized block for all its chunks and heads. Backward
+    walks the same chunks, parts and heads and uses
     dS = P * (dP - rowsum(dP * P)) (the form FlashAttention uses, Dao et al.
     2022), so its transients are one chunk per part. Each batch element sees
     the same float operations, in the same order, as composing a batched
@@ -438,7 +424,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
 
     out_flat = np.empty((batch, m, e))
     taped = _records((q, k, v))
-    probs = _take_probs((batch, m, n), n_heads) if taped else None
+    probs = [np.empty((batch, m, n)) for _ in heads] if taped else None
 
     def forward(part):
         block = None if taped else np.empty((min(c, batch), m, n))
@@ -479,30 +465,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
         _acc(k, gk.reshape(k.shape))
         _acc(v, gv.reshape(v.shape))
 
-    out = Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), bw, "multi_head_attention")
-    if taped:
-        weakref.finalize(out, _return_probs, probs).atexit = False
-    return out
-
-
-def _take_probs(shape: tuple[int, int, int], count: int) -> list[np.ndarray]:
-    """`count` arrays of `shape` for a taped attention call's probabilities:
-    spare ones first, new ones for the rest. Every element is unspecified."""
-    with _spare_lock:
-        spare = _spare_probs.pop(shape, [])
-        _spare_probs.clear()
-        if len(spare) > count:
-            _spare_probs[shape] = spare[count:]
-    return spare[:count] + [np.empty(shape) for _ in range(count - len(spare))]
-
-
-def _return_probs(probs: list[np.ndarray]) -> None:
-    """Hand the probabilities of a node that has died to the next taped call."""
-    shape = probs[0].shape
-    with _spare_lock:
-        if shape not in _spare_probs:
-            _spare_probs.clear()
-        _spare_probs.setdefault(shape, []).extend(probs)
+    return Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), bw, "multi_head_attention")
 
 
 def _split_pool() -> ThreadPoolExecutor:

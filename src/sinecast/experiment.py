@@ -486,12 +486,12 @@ def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int)
     Attention is one autodiff op (``autodiff.multi_head_attention``). For
     backward it keeps, per attention site, one [batch, T, T] array of softmax
     probabilities per head. ``train_model`` drops each step's graph before
-    the next forward, which takes over those arrays, so every step holds one
-    set of them, not only the first. Its forward and backward split the
-    batch chunks into one part per CPU, and each part works on one chunk and
-    head at a time, so their transients (the score block, dP overwritten
-    into dS, and dS * P) are one chunk per part: at most 256 KB each, or one
-    [T, T] array when that is larger. Scoring, which keeps no probabilities, holds one
+    the next forward, so every step holds one set of them, not only the
+    first. Its forward and backward split the batch chunks into one part per
+    CPU, and each part works on one chunk and head at a time, so their
+    transients (the score block, dP overwritten into dS, and dS * P) are one
+    chunk per part: at most 256 KB each, or one [T, T] array when that is
+    larger. Scoring, which keeps no probabilities, holds one
     batch per CPU, each running its attention as one part. The factor 4 per
     head and site covers the probabilities with room to spare. The
     projection, feed-forward and layer-norm activations are not counted, so

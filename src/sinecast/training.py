@@ -7,6 +7,7 @@ the MLP additionally carries an elastic-net penalty on its weight matrices.
 from __future__ import annotations
 
 import csv
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -237,6 +238,33 @@ def _state_digest(state: AdamState) -> tuple:
     )
 
 
+# glibc's mallopt parameters, and the ceilings its dynamic thresholds reach on
+# 64-bit systems: a freed mmapped block raises the mmap threshold to its size,
+# up to 32 MB, and the trim threshold to twice that.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds at the ceilings they rise to.
+
+    A training step frees its whole graph before the next forward builds one
+    of the same size. Under the dynamic thresholds that freed memory sits at
+    the top of the heap and is trimmed back to the OS, so every step faults
+    it in again; with the thresholds at their ceilings it stays mapped and
+    the next step reuses it. The cost is that up to 64 MB of freed heap per
+    malloc arena can stay mapped. Process-wide, and a no-op where the C
+    library has no ``mallopt``; returns whether both thresholds were set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
+
+
 def train_model(
     model: Forecaster,
     train: WindowDataset,
@@ -249,8 +277,8 @@ def train_model(
     Deterministic given cfg.seed; validation never touches parameters or
     optimizer state. Each step's graph is dropped as soon as its Adam update
     is done, so no step's graph is alive while the next one is built or
-    while validation runs; attention hands that graph's probability arrays
-    to the next step's forward.
+    while validation runs; ``_pin_malloc_thresholds`` keeps the freed memory
+    mapped for the next step.
     """
     if model.config.variant == "Persistence":
         raise ConfigError("non-trainable model: Persistence has no parameters")
@@ -260,6 +288,7 @@ def train_model(
         raise ConfigError("validation dataset is empty")
 
     l1, l2 = (MLP_L1, MLP_L2) if model.config.variant == "MLP" else (0.0, 0.0)
+    _pin_malloc_thresholds()
 
     params = model.parameters()
     state = AdamState(params)

@@ -4,7 +4,6 @@ against central finite differences."""
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,93 +586,6 @@ class TestMultiHeadAttention:
         for got in results:
             for a, b in zip(expected, got):
                 assert np.array_equal(a, b)
-
-    def test_live_graphs_share_no_probability_storage(self, monkeypatch):
-        monkeypatch.setattr(autodiff, "_spare_probs", {})
-        rng = np.random.default_rng(46)
-        inputs = [[rng.normal(size=(5, 4, 8)) for _ in range(4)] for _ in range(2)]
-        alone = [self._taped(q, k, v, g, 2, False) for q, k, v, g in inputs]
-        assert len(autodiff._spare_probs[(5, 4, 4)]) == 2  # the dropped graphs' arrays
-        graphs = []
-        for q, k, v, g in inputs:
-            qt, kt, vt = Parameter(q, "q"), Parameter(k, "k"), Parameter(v, "v")
-            out = multi_head_attention(qt, kt, vt, 2)
-            graphs.append((out, (out * Tensor(g)).sum(), qt, kt, vt))
-        # both graphs live at once, each backpropagated twice in turn
-        for _ in range(2):
-            for (out, loss, qt, kt, vt), expected in zip(graphs, alone):
-                backward(loss)
-                for a, b in zip(expected, [out.data, qt.grad, kt.grad, vt.grad]):
-                    assert np.array_equal(a, b)
-
-    def test_threads_never_share_probability_storage(self, monkeypatch):
-        # each thread keeps two graphs alive at once, of two shapes in turn,
-        # with inputs of its own: an array handed to two live nodes, or lost
-        # to a race on the spare arrays, gives some thread wrong gradients
-        monkeypatch.setattr(autodiff, "_spare_probs", {})
-        rng = np.random.default_rng(49)
-        cases = [[[rng.normal(size=(5, m, 8)) for _ in range(4)] for m in (4, 6)] for _ in range(4)]
-        expected = [[self._taped(q, k, v, g, 2, False) for q, k, v, g in case] for case in cases]
-        failures = []
-
-        def caller(case, want):
-            for i in range(10):
-                graphs = []
-                for q, k, v, g in (case[i % 2], case[i % 2], case[1 - i % 2]):
-                    qt, kt, vt = Parameter(q, "q"), Parameter(k, "k"), Parameter(v, "v")
-                    out = multi_head_attention(qt, kt, vt, 2)
-                    graphs.append(((out * Tensor(g)).sum(), qt, kt, vt))
-                for (loss, qt, kt, vt), ref in zip(graphs, (want[i % 2], want[i % 2], want[1 - i % 2])):
-                    backward(loss)
-                    if not all(np.array_equal(a, b) for a, b in zip(ref[1:], [qt.grad, kt.grad, vt.grad])):
-                        failures.append(i)
-
-        callers = [threading.Thread(target=caller, args=pair) for pair in zip(cases, expected)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert failures == []
-
-    def test_dropped_graph_storage_is_reused(self, monkeypatch):
-        rng = np.random.default_rng(47)
-        q, k, v, g = (rng.normal(size=(8, 64, 8)) for _ in range(4))
-        probs_bytes = 8 * 64 * 64 * 8  # one head's [batch, m, n] probabilities
-        monkeypatch.setattr(autodiff, "_spare_probs", {})
-        self._taped(q, k, v, g, 2, False)
-        qt, kt, vt = Parameter(q, "q"), Parameter(k, "k"), Parameter(v, "v")
-        tracemalloc.start()
-        try:
-            out = multi_head_attention(qt, kt, vt, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.requires_grad
-        assert peak < probs_bytes, peak
-
-    @pytest.mark.parametrize("causal", [False, True])
-    @pytest.mark.parametrize("m, n", [(4, 4), (3, 6)])
-    def test_reused_storage_gives_identical_results(self, monkeypatch, set_cpus, m, n, causal):
-        rng = np.random.default_rng(48)
-        q, k = rng.normal(size=(7, m, 8)), rng.normal(size=(7, n, 8))
-        v, g = rng.normal(size=(7, n, 4)), rng.normal(size=(7, m, 4))
-        monkeypatch.setattr(autodiff, "_spare_probs", {})
-        monkeypatch.setattr(autodiff, "_CHUNK_BYTES", 3 * m * n * 8)  # chunks of 3 + 3 + 1
-        set_cpus(2)
-        fresh = self._taped(q, k, v, g, 2, causal)
-        spare = autodiff._spare_probs[(7, m, n)]
-        for p in spare:
-            p.fill(np.nan)  # the dropped graph's arrays, now spare: nothing may read them unwritten
-        reused = self._taped(q, k, v, g, 2, causal)
-        assert [id(p) for p in autodiff._spare_probs[(7, m, n)]] == [id(p) for p in spare]
-        for a, b in zip(fresh, reused):
-            assert np.array_equal(a, b)
 
     def test_shape_errors(self):
         z = Tensor(np.zeros((2, 3, 4)))

@@ -1,13 +1,18 @@
 """Learning-rate schedule, Adam updates, elastic net, and full training runs."""
 
+import json
+import statistics
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sinecast import autodiff, training
+from sinecast import training
 from sinecast.autodiff import Parameter, Tensor, backward
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError, NumericError
@@ -442,7 +447,6 @@ class TestTrainModel:
         model = Forecaster(ModelConfig(variant="Sencoder", input_len=8, horizon=48, channels=1,
                                        d_model=4, n_heads=2, ffn_dim=4, seed=3))
         probs_bytes = 2 * 32 * 48 * 48 * 8  # two heads of [batch, L, L]
-        monkeypatch.setattr(autodiff, "_spare_probs", {})
         real_adam = training.adam_step
         peaks = []
 
@@ -459,6 +463,44 @@ class TestTrainModel:
             tracemalloc.stop()
         assert len(peaks) > 4
         assert max(peaks) - peaks[0] < probs_bytes / 4, [p - peaks[0] for p in peaks]
+
+    # Trains a Sencoder in a fresh process, whose heap no earlier test has
+    # shaped, and prints the minor page faults of each second-epoch step.
+    _FAULTS_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from sinecast import training
+from sinecast.data import TimeSeriesTable, make_windows
+from sinecast.models import Forecaster, ModelConfig
+values = np.sin(2 * np.pi * np.arange(1400.0) / 24).reshape(-1, 1)
+train = make_windows(TimeSeriesTable(name="tr", values=values[:1000]), 48, 48)
+val = make_windows(TimeSeriesTable(name="va", values=values[1000:]), 48, 48)
+model = Forecaster(ModelConfig(variant="Sencoder", input_len=48, horizon=48, channels=1,
+                               d_model=8, n_heads=2, ffn_dim=8, seed=0))
+counts, real_adam = [], training.adam_step
+def counting_adam(state, lr):
+    real_adam(state, lr)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+training.adam_step = counting_adam
+training.train_model(model, train, val, training.TrainConfig(
+    schedule=training.LrSchedule(1e-3, 1e-6, 2), batch_size=32, seed=0))
+steps = -(-len(train) // 32)
+print(json.dumps(np.diff(counts)[steps:].tolist()))
+"""
+
+    def test_freed_step_graph_is_not_faulted_in_again(self):
+        # every step frees its graph before the next forward; under glibc's
+        # dynamic thresholds the heap top is trimmed and each step faults it
+        # back in (about 360 pages a step here)
+        if not training._pin_malloc_thresholds():
+            pytest.skip("the C library has no mallopt")
+        src = str(Path(training.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", self._FAULTS_SCRIPT], capture_output=True, text=True,
+                             env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        faults = json.loads(run.stdout)
+        assert len(faults) > 20
+        assert statistics.median(faults) < 16, faults
 
     _ATTENTION = "dense dense dense multi_head_attention dense add layer_norm"
     _ENCODER = f"{_ATTENTION} dense relu dense add layer_norm"
