@@ -110,6 +110,7 @@ class Tensor:
             raise NumericError("tensor constructed from non-finite data")
         self.data = arr
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -126,6 +127,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
+        out._owns_grad = False
         out.requires_grad = _records(parents)
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = backward_fn if out.requires_grad else None
@@ -304,9 +306,38 @@ def _records(parents) -> bool:
     return not getattr(_grad_mode, "off", False) and any(p.requires_grad for p in parents)
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _acc(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add the contribution `g` to `t.grad`.
+
+    `owned` says that `g` is a fresh array made for `t` alone, as ``dense``'s
+    products are; otherwise it may be another node's adjoint, or a view of
+    one, passed on by reference. A later contribution is added in place only
+    into a gradient that ``t._owns_grad`` marks as such an array; any other
+    sum is a new array, which `t` then owns. Backward reaches a node only
+    once every contribution to it has arrived, so an owned gradient is never
+    written after its node has passed it on, and no adjoint, view or
+    caller's array is ever written. Each sum equals ``t.grad + g`` bit for
+    bit. A weight used by several ops thus holds one gradient-sized array
+    through the whole pass, and training peaks at the weights, Adam's two
+    moments, one gradient set and one best-epoch snapshot, plus one step's
+    graph (see ``training.train_model``).
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad, t._owns_grad = g, owned
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad, t._owns_grad = t.grad + g, True
+
+
+def _owned_grad(t: Tensor) -> np.ndarray | None:
+    """`t.grad` as a C-contiguous array that `t` owns (see :func:`_acc`),
+    copied first if it is not; None while nothing has arrived."""
+    if t.grad is not None and not (t._owns_grad and t.grad.flags.c_contiguous):
+        t.grad, t._owns_grad = np.array(t.grad, dtype=np.float64, order="C"), True
+    return t.grad
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -329,9 +360,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            _acc(x, g @ w.data)
+            _acc(x, g @ w.data, owned=True)
         if w.requires_grad:
-            _acc(w, g.reshape(-1, n_out).T @ x.data.reshape(-1, n_in))
+            _acc(w, g.reshape(-1, n_out).T @ x.data.reshape(-1, n_in), owned=True)
         if b is not None and b.requires_grad:
             _acc(b, g.sum(axis=tuple(range(g.ndim - 1))))
 
@@ -542,14 +573,14 @@ def backward(loss: Tensor) -> None:
         raise GraphError(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
     for node in order:
-        node.grad = None
+        node.grad, node._owns_grad = None, False
     if not loss.requires_grad:
         return
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-            node.grad = None
+            node.grad, node._owns_grad = None, False
 
 
 def grad_check(

@@ -321,6 +321,82 @@ class TestGradients:
             assert np.array_equal(p.grad, kept[id(p)]), p.name
 
 
+class TestInPlaceAccumulation:
+    """Gradient sums added in place equal the out-of-place ``t.grad + g`` rule
+    bit for bit, and write no adjoint a node passed on and no caller's array."""
+
+    @staticmethod
+    def _out_of_place_acc(t, g, owned=False):
+        if t.requires_grad:
+            t.grad = g if t.grad is None else t.grad + g
+
+    @staticmethod
+    def _grads(build, leaves, callers):
+        before = [a.copy() for a in callers]
+        loss = build()
+        passed = []
+        for node in autodiff._topo_order(loss):
+            if node._backward is not None:
+                def watching(g, inner=node._backward):
+                    passed.append((g, np.array(g, copy=True)))
+                    inner(g)
+
+                node._backward = watching
+        backward(loss)
+        assert passed
+        for g, at_the_time in passed:
+            assert np.array_equal(g, at_the_time)
+        for a, b in zip(callers, before):
+            assert np.array_equal(a, b)
+        return [p.grad.copy() for p in leaves]
+
+    def _check(self, monkeypatch, build, leaves, callers):
+        in_place = self._grads(build, leaves, callers)
+        monkeypatch.setattr(autodiff, "_acc", self._out_of_place_acc)
+        out_of_place = self._grads(build, leaves, callers)
+        for p, a, b in zip(leaves, in_place, out_of_place):
+            assert np.array_equal(a, b), p.name
+
+    def test_add_passes_one_adjoint_to_both_parents(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(5, 3))
+        w1, w2, w3 = (Parameter(rng.normal(size=s), n) for s, n in (((4, 3), "w1"), ((4, 3), "w2"), ((2, 4), "w3")))
+
+        def build():
+            a, b = dense(Tensor(x), w1), dense(Tensor(x), w2)
+            s = a + b  # a and b both receive s's adjoint itself
+            return (s.sin() + a * b).sum() + dense(a, w3).sum() + dense(b, w3).sum()
+
+        self._check(monkeypatch, build, [w1, w2, w3], [x, w1.data, w2.data, w3.data])
+
+    def test_adjoint_through_reshape_and_transpose_views(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(5, 3))
+        w1, w2 = Parameter(rng.normal(size=(4, 3)), "w1"), Parameter(rng.normal(size=(2, 4)), "w2")
+        w3 = Parameter(rng.normal(size=(3, 5)), "w3")
+
+        def build():
+            a = dense(Tensor(x), w1)
+            r, t = a.reshape(4, 5), a.transpose()  # a receives views of their adjoints
+            return ((r.sin() * 2.0).sum() + (t * t).sum() + dense(a, w2).sum()
+                    + dense(t, w3).sum() + dense(t.transpose(), w2).sum())
+
+        self._check(monkeypatch, build, [w1, w2, w3], [x, w1.data, w2.data, w3.data])
+
+    def test_four_consumers_as_in_an_encoder_block(self, monkeypatch):
+        from sinecast.models import Forecaster, ModelConfig, encoder_block
+
+        model = Forecaster(ModelConfig("Sencoder", 6, 6, 1, d_model=8, n_heads=2, ffn_dim=8, seed=3))
+        rng = np.random.default_rng(42)
+        x = Parameter(rng.normal(size=(2, 6, 8)), "x")  # residual add and three projections
+        leaves = [x] + [p for p in model.parameters() if p.name.startswith("enc.")]
+
+        def build():
+            return (encoder_block(model.encoder, x) * 1.5).sin().mean()
+
+        self._check(monkeypatch, build, leaves, [p.data for p in leaves])
+
+
 class TestNoGrad:
     def test_same_values_and_no_graph(self):
         w = Parameter(np.random.default_rng(0).normal(size=(3, 4)), "w")

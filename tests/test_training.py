@@ -337,6 +337,17 @@ class TestElasticNet:
             if got is not None:
                 assert np.array_equal(got, want)
 
+    def test_copies_a_gradient_it_does_not_own(self):
+        # the sum's backward runs first and leaves the weight a read-only
+        # broadcast of its adjoint, which the penalty must not add into
+        def run(penalty):
+            w = Parameter(np.random.default_rng(9).normal(size=(4, 5)), "w")
+            w.data[0, 0] = 0.0
+            backward(w.sum() + penalty([w], 1e-3, 2e-2))
+            return w.grad
+
+        assert np.array_equal(run(elastic_net_penalty), run(self._chain))
+
     def test_adds_one_node(self, monkeypatch):
         made = []
         original = Tensor.__dict__["_from_op"].__func__
@@ -353,16 +364,15 @@ class TestElasticNet:
         assert out.shape == () and out._parents == (w1, w2)
 
 
-def test_mlp_training_step_peak_stays_within_four_parameter_sets():
-    # one step as train_model takes it: forward, MAE plus elastic net,
-    # backward, Adam. With a three-node dense layer and the penalty as a
-    # chain of nine nodes per weight it peaked at 5.6 parameter sets here.
+def _mlp_step_peak_in_parameter_sets():
+    """tracemalloc peak of one MLP-360 step as train_model takes it (forward,
+    MAE plus elastic net, backward, Adam), with the moments allocated
+    before tracing, in parameter sets."""
     cfg = ModelConfig("MLP", 360, 360, 1)
     model = Forecaster(cfg)
     state = AdamState(model.parameters())
     rng = np.random.default_rng(0)
     x, y = Tensor(rng.normal(size=(64, 360, 1))), Tensor(rng.normal(size=(64, 360, 1)))
-    param_bytes = 8 * model.n_parameters()
     tracemalloc.start()
     try:
         loss = (model(x) - y).abs().mean() + elastic_net_penalty(model.parameters(), training.MLP_L1, training.MLP_L2)
@@ -371,7 +381,48 @@ def test_mlp_training_step_peak_stays_within_four_parameter_sets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * param_bytes, f"step peak {peak / 1e6:.1f} MB, parameters {param_bytes / 1e6:.1f} MB"
+    return peak / (8 * model.n_parameters())
+
+
+def test_mlp_training_step_peak_stays_within_four_parameter_sets():
+    # With a three-node dense layer and the penalty as a chain of nine nodes
+    # per weight it peaked at 5.6 parameter sets here.
+    sets = _mlp_step_peak_in_parameter_sets()
+    assert sets < 4, f"step peak {sets:.2f} parameter sets"
+
+
+def test_mlp_training_step_peak_stays_within_two_parameter_sets():
+    # one gradient set and the graph: a new array per gradient sum, and the
+    # penalty's sign(w) and weight-sized scratch, took it to 2.08 sets
+    sets = _mlp_step_peak_in_parameter_sets()
+    assert sets < 2, f"step peak {sets:.2f} parameter sets"
+
+
+@pytest.mark.parametrize("variant", ["SLP", "MLP"])
+def test_train_model_peak_is_one_set_per_role(monkeypatch, variant):
+    # beyond the parameters, a whole run holds Adam's two moments, one
+    # gradient set, one best-epoch snapshot and one step's graph (a third of
+    # a set at L=720, B=64); validation is stubbed so that epochs 0 and 2 are
+    # new bests and the snapshot is refilled. A gradient set kept through
+    # validation and a second snapshot made at each new best took it to 5.06
+    # parameter sets.
+    values = np.sin(np.arange(1567.0) * 2 * np.pi / 24).reshape(-1, 1)
+    train = make_windows(TimeSeriesTable(name="tr", values=values), 720, 720)
+    val = make_windows(TimeSeriesTable(name="va", values=values[:1440]), 720, 720)
+    model = Forecaster(ModelConfig(variant, 720, 720, 1))
+    param_bytes = 8 * model.n_parameters()
+    maes = iter([1.0, 2.0, 0.5])
+    monkeypatch.setattr(training, "evaluate", lambda *a, **k: SimpleNamespace(mae=next(maes)))
+    cfg = TrainConfig(schedule=LrSchedule(1e-3, 1e-6, 3), batch_size=64, seed=0)
+    tracemalloc.start()
+    try:
+        report = train_model(model, train, val, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.best_epoch == 2
+    assert all(p.grad is None for p in model.parameters())
+    assert peak < 4.5 * param_bytes, f"peak {peak / param_bytes:.2f} parameter sets beyond the parameters"
 
 
 def sine_table(n=400, period=24.0, amplitude=1.0, noise=0.0, seed=0, name="sine"):
