@@ -112,13 +112,13 @@ def _cmd_tune(args) -> int:
         )
     print(f"wrote {outcome.table_path}")
     print(f"wrote {outcome.best_path}")
-    return 1 if any(r["status"] == "error" for r in outcome.rows) else 0
+    return 1 if any(r.status == "error" for r in outcome.rows) else 0
 
 
 def _cmd_report(args) -> int:
-    rows = read_results_csv(args.results)
+    records = read_results_csv(args.results)
     out = Path(args.out) if args.out else Path(args.results).parent / "report.md"
-    write_report(out, rows, title=args.title)
+    write_report(out, records, title=args.title)
     print(f"wrote {out}")
     return 0
 

@@ -40,8 +40,6 @@ class TimeSeriesTable:
     name: str
     values: np.ndarray
     columns: tuple[str, ...] = ()
-    timestamps: tuple[str, ...] | None = None
-    frequency_label: str = ""
 
     def __post_init__(self):
         v = self.values
@@ -54,8 +52,6 @@ class TimeSeriesTable:
             raise DataError(f"{self.name}: need at least 1 channel")
         if not np.isfinite(v).all():
             raise DataError(f"{self.name}: non-finite values present")
-        if self.timestamps is not None and len(self.timestamps) != t:
-            raise DataError(f"{self.name}: {len(self.timestamps)} timestamps for {t} rows")
 
     @property
     def length(self) -> int:
@@ -97,16 +93,12 @@ class StandardizationStats:
             raise StandardizeError("standard deviation must be positive for every channel")
 
 
-def load_csv(
-    path,
-    timestamp_column: str | None = None,
-    name: str | None = None,
-    frequency_label: str = "",
-) -> TimeSeriesTable:
+def load_csv(path, timestamp_column: str | None = None, name: str | None = None) -> TimeSeriesTable:
     """Read a UTF-8, comma-separated file with a header row into a table.
 
-    Every column except the optional timestamp column must parse as a
-    float; the first offending cell is reported by row and column name.
+    The optional timestamp column is skipped; every other column must parse
+    as a float, and the first offending cell is reported by row and column
+    name.
     """
     p = Path(path)
     if not p.exists():
@@ -126,12 +118,9 @@ def load_csv(
         value_cols = [(i, h) for i, h in enumerate(header) if i != ts_idx]
 
         rows: list[list[float]] = []
-        stamps: list[str] = []
         for rownum, raw in enumerate(reader, start=2):  # header is line 1
             if len(raw) != len(header):
                 raise DataError(f"{p}: line {rownum} has {len(raw)} cells, expected {len(header)}")
-            if ts_idx is not None:
-                stamps.append(raw[ts_idx].strip())
             parsed = []
             for i, col in value_cols:
                 cell = raw[i].strip()
@@ -151,8 +140,6 @@ def load_csv(
         name=name if name is not None else p.stem,
         values=np.asarray(rows, dtype=np.float64),
         columns=tuple(h for _, h in value_cols),
-        timestamps=tuple(stamps) if ts_idx is not None else None,
-        frequency_label=frequency_label,
     )
 
 
@@ -172,8 +159,6 @@ def split(table: TimeSeriesTable, spec: SplitSpec) -> tuple[TimeSeriesTable, Tim
             name=f"{table.name}/{tag}",
             values=table.values[lo:hi],
             columns=table.columns,
-            timestamps=table.timestamps[lo:hi] if table.timestamps is not None else None,
-            frequency_label=table.frequency_label,
         )
 
     return piece(0, b1, "train"), piece(b1, b2, "val"), piece(b2, t, "test")
@@ -199,8 +184,6 @@ def apply_standardizer(table: TimeSeriesTable, stats: StandardizationStats) -> T
         name=table.name,
         values=(table.values - stats.mean) / stats.std,
         columns=table.columns,
-        timestamps=table.timestamps,
-        frequency_label=table.frequency_label,
     )
 
 

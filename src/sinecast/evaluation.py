@@ -1,4 +1,4 @@
-"""Test-set MAE evaluation and improvement-vs-baseline aggregation.
+"""Test-set MAE evaluation and the improvement over a baseline.
 
 All metrics operate in standardized space; improvements are fractions where
 positive means the model beats the baseline.
@@ -7,7 +7,6 @@ positive means the model beats the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "EvalResult",
     "evaluate",
     "improvement",
-    "mean_improvements",
 ]
 
 
@@ -83,17 +81,3 @@ def improvement(baseline_mae: float, model_mae: float) -> float:
         raise ConfigError(f"baseline mae must be positive, got {baseline_mae}")
     return (baseline_mae - model_mae) / baseline_mae
 
-
-def mean_improvements(rows: Iterable[Mapping]) -> dict[tuple[str, int], tuple[float, int]]:
-    """Mean improvement over datasets for every (model, horizon) of result rows.
-
-    Averages the `improvement_vs_persistence` of each ok row of a trained
-    model; rows without one (a failed or zero baseline) are left out.
-    Returns {(model, horizon): (mean improvement, number of rows averaged)}.
-    """
-    buckets: dict[tuple[str, int], list[float]] = {}
-    for r in rows:
-        imp = r.get("improvement_vs_persistence")
-        if r["status"] == "ok" and r["model"] != "Persistence" and imp is not None:
-            buckets.setdefault((r["model"], r["horizon"]), []).append(imp)
-    return {key: (sum(vals) / len(vals), len(vals)) for key, vals in buckets.items()}

@@ -44,7 +44,7 @@ from .data import (
 from .errors import ConfigError, SinecastError, TuningError
 from .evaluation import evaluate, improvement
 from .models import VARIANTS, Forecaster, ModelConfig, save_checkpoint
-from .reporting import _write_csv, status_counts, write_report, write_results_csv
+from .reporting import RunRecord, status_counts, write_csv, write_report, write_results_csv
 from .training import LrSchedule, TrainConfig, train_model
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "Cell",
     "RunRecord",
     "ExperimentOutcome",
+    "TuneRecord",
     "TuneOutcome",
     "load_config",
     "config_hash",
@@ -75,18 +76,6 @@ _SYNTHETIC_KINDS = {
 }
 
 _TUPLE_ARGS = {"periods", "amplitudes"}
-
-TUNING_FIELDS = (
-    "dataset",
-    "model",
-    "horizon",
-    "input_len",
-    "train_portion",
-    "status",
-    "reason",
-    "val_mae",
-    "best_epoch",
-)
 
 
 @dataclass(frozen=True)
@@ -231,22 +220,6 @@ class Cell:
 
 
 @dataclass
-class RunRecord:
-    dataset: str
-    model: str
-    horizon: int
-    input_len: int
-    train_portion: float
-    seed: int
-    status: str  # ok | skipped | error
-    reason: str = ""
-    mae: float | None = None
-    n_windows: int | None = None
-    best_epoch: int | None = None
-    improvement_vs_persistence: float | None = None
-
-
-@dataclass
 class ExperimentOutcome:
     records: list[RunRecord]
     out_dir: Path
@@ -260,8 +233,24 @@ class ExperimentOutcome:
 
 
 @dataclass
+class TuneRecord:
+    """One tuning candidate: a model at a horizon with an input length and a
+    train portion. Its fields, in order, are the columns of tuning.csv."""
+
+    dataset: str
+    model: str
+    horizon: int
+    input_len: int
+    train_portion: float
+    status: str = "ok"  # ok | infeasible | skipped | error
+    reason: str = ""
+    val_mae: float | None = None
+    best_epoch: int | None = None
+
+
+@dataclass
 class TuneOutcome:
-    rows: list[dict]
+    rows: list[TuneRecord]
     best: dict
     out_dir: Path
     table_path: Path
@@ -455,7 +444,6 @@ def load_source(source: DatasetSource) -> TimeSeriesTable:
         Path(source.config_dir or "") / source.path,
         timestamp_column=source.timestamp_column,
         name=source.name,
-        frequency_label=source.frequency,
     )
 
 
@@ -468,13 +456,7 @@ def tail_portion(table: TimeSeriesTable, portion: float) -> TimeSeriesTable:
     keep = int(table.length * portion)
     if keep < 2:
         raise ConfigError(f"train_portion={portion} leaves {keep} rows of {table.length}")
-    return TimeSeriesTable(
-        name=table.name,
-        values=table.values[table.length - keep:],
-        columns=table.columns,
-        timestamps=table.timestamps[table.length - keep:] if table.timestamps else None,
-        frequency_label=table.frequency_label,
-    )
+    return TimeSeriesTable(name=table.name, values=table.values[table.length - keep:], columns=table.columns)
 
 
 # -- memory guard -----------------------------------------------------------
@@ -643,9 +625,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
             if base is not None and base > 0:
                 r.improvement_vs_persistence = improvement(base, r.mae)
 
-    rows = [dataclasses.asdict(r) for r in records]
-    results_path = write_results_csv(out / "results.csv", rows)
-    report_path = write_report(out / "report.md", rows, title=cfg.name, config_hash=config_hash(cfg))
+    results_path = write_results_csv(out / "results.csv", records)
+    report_path = write_report(out / "report.md", records, title=cfg.name, config_hash=config_hash(cfg))
 
     manifest = {
         "experiment": cfg.name,
@@ -658,7 +639,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentOutcome:
         "seconds": round(time.perf_counter() - started, 3),
         "counts": status_counts(r.status for r in records),
         "run_seconds": timings,
-        "results": rows,
+        "results": [dataclasses.asdict(r) for r in records],
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -695,61 +676,53 @@ def tune(cfg: ExperimentConfig, out_dir=None) -> TuneOutcome:
     # a portion that leaves too few rows fails here, before any candidate trains
     tails = {p: tail_portion(train_t, p) for p in cfg.tuning_train_portions or (0.5, 1.0)}
 
-    rows: list[dict] = []
+    rows: list[TuneRecord] = []
     best: dict[str, dict] = {}
     for horizon in cfg.horizons:
         lens = cfg.tuning_input_lens or tuple(sorted({horizon, 2 * horizon, 336, 720}))
         for model in trained:
             cell = Cell(cfg.source.name, model, horizon, cfg.seed)
-            candidates: list[dict] = []
+            candidates: list[TuneRecord] = []
             skipped = False
             for input_len in lens:
                 for portion, tail in tails.items():
-                    row = {
-                        "dataset": cell.dataset,
-                        "model": model,
-                        "horizon": horizon,
-                        "input_len": input_len,
-                        "train_portion": portion,
-                        "status": "ok",
-                        "reason": "",
-                        "val_mae": None,
-                        "best_epoch": None,
-                    }
+                    row = TuneRecord(cell.dataset, model, horizon, input_len, portion)
                     rows.append(row)
                     if input_len < horizon:
                         # keeps every candidate comparable to the copy-forward
                         # baseline, which needs input_len >= horizon
-                        row["status"] = "infeasible"
-                        row["reason"] = f"input_len {input_len} < horizon {horizon}"
+                        row.status = "infeasible"
+                        row.reason = f"input_len {input_len} < horizon {horizon}"
                         continue
                     span = input_len + horizon
                     if tail.length < span or val_t.length < span:
-                        row["status"] = "infeasible"
-                        row["reason"] = (
+                        row.status = "infeasible"
+                        row.reason = (
                             f"needs {span} rows, train tail has {tail.length}, "
                             f"val has {val_t.length}"
                         )
                         continue
-                    row["status"], row["reason"] = _attempt(
+
+                    def keep(_, report):
+                        row.val_mae, row.best_epoch = report.best_val_mae, report.best_epoch
+
+                    row.status, row.reason = _attempt(
                         cfg, cell, input_len, tail, val_t,
-                        out / "logs" / f"tune_{cell.stem}_{input_len}_{portion}.csv",
-                        lambda _, report: row.update(val_mae=report.best_val_mae,
-                                                     best_epoch=report.best_epoch),
+                        out / "logs" / f"tune_{cell.stem}_{input_len}_{portion}.csv", keep,
                     )
-                    skipped |= row["status"] == "skipped"
-                    if row["status"] == "ok":
+                    skipped |= row.status == "skipped"
+                    if row.status == "ok":
                         candidates.append(row)
             if not candidates:
                 if skipped:
                     continue
                 raise TuningError(f"no feasible tuning candidate for {model} at horizon {horizon}")
-            pick = min(candidates, key=lambda r: (r["val_mae"], r["input_len"], -r["train_portion"]))
+            pick = min(candidates, key=lambda r: (r.val_mae, r.input_len, -r.train_portion))
             best[f"{model}@{horizon}"] = {
-                k: pick[k] for k in ("input_len", "train_portion", "val_mae", "best_epoch")
+                k: getattr(pick, k) for k in ("input_len", "train_portion", "val_mae", "best_epoch")
             }
 
-    table_path = _write_csv(out / "tuning.csv", TUNING_FIELDS, rows)
+    table_path = write_csv(out / "tuning.csv", TuneRecord, rows)
     best_path = out / "best.json"
     best_path.write_text(json.dumps(best, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return TuneOutcome(rows=rows, best=best, out_dir=out, table_path=table_path, best_path=best_path)

@@ -3,48 +3,58 @@
 The results CSV is the artifact downstream tooling diffs, so it is written
 byte-deterministically: floats via repr (round-trips exactly), no
 timestamps, stable row order as produced by the run. The markdown report is
-derived from the same rows and is deterministic too; wall-clock details live
-in the run manifest instead.
+derived from the same records and is deterministic too; wall-clock details
+live in the run manifest instead.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DataError
-from .evaluation import mean_improvements
 from .models import VARIANTS
 from .reference import canonical_dataset_key, literature_models, reported_mae
 
 __all__ = [
+    "RunRecord",
     "RESULT_FIELDS",
     "status_counts",
+    "write_csv",
     "write_results_csv",
     "read_results_csv",
+    "mean_improvements",
     "render_report",
     "write_report",
 ]
 
-RESULT_FIELDS = (
-    "dataset",
-    "model",
-    "horizon",
-    "input_len",
-    "train_portion",
-    "seed",
-    "status",
-    "reason",
-    "mae",
-    "n_windows",
-    "best_epoch",
-    "improvement_vs_persistence",
-)
 
-_INT_FIELDS = {"horizon", "input_len", "seed", "n_windows", "best_epoch"}
-_FLOAT_FIELDS = {"train_portion", "mae", "improvement_vs_persistence"}
+@dataclass
+class RunRecord:
+    """The result of one grid cell. Its fields, in order, are the columns of
+    results.csv, and each column is read back by its field's annotation."""
+
+    dataset: str
+    model: str
+    horizon: int
+    input_len: int
+    train_portion: float
+    seed: int
+    status: str  # ok | skipped | error
+    reason: str = ""
+    mae: float | None = None
+    n_windows: int | None = None
+    best_epoch: int | None = None
+    improvement_vs_persistence: float | None = None
+
+
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunRecord))
+
+_CELL_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _format_cell(value) -> str:
@@ -55,18 +65,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, fields: tuple[str, ...], rows: Iterable[Mapping]) -> Path:
+def write_csv(path, record_type: type, records: Iterable) -> Path:
+    """Write dataclass records as CSV, one column per field of `record_type`
+    in declaration order; None is an empty cell and floats are written by repr."""
+    fields = [f.name for f in dataclasses.fields(record_type)]
     p = Path(path)
     with open(p, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(field)) for field in fields])
+        for record in records:
+            writer.writerow([_format_cell(getattr(record, name)) for name in fields])
     return p
 
 
-def write_results_csv(path, rows: Iterable[Mapping]) -> Path:
-    return _write_csv(path, RESULT_FIELDS, rows)
+def write_results_csv(path, records: Iterable[RunRecord]) -> Path:
+    return write_csv(path, RunRecord, records)
 
 
 def status_counts(statuses: Iterable[str]) -> dict[str, int]:
@@ -76,15 +89,12 @@ def status_counts(statuses: Iterable[str]) -> dict[str, int]:
     return counts
 
 
-def _coerce(field: str, text: str):
-    if field in _INT_FIELDS:
-        return int(text) if text else None
-    if field in _FLOAT_FIELDS:
-        return float(text) if text else None
-    return text
-
-
-def read_results_csv(path) -> list[dict]:
+def read_results_csv(path) -> list[RunRecord]:
+    """The RunRecords of a results.csv, each column parsed by the annotation of
+    its RunRecord field: an empty cell is None where the field allows None,
+    and an error in a number column that does not."""
+    parsers = [(f.name, _CELL_TYPES[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+               for f in dataclasses.fields(RunRecord)]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -93,18 +103,33 @@ def read_results_csv(path) -> list[dict]:
             raise DataError(f"{path}: empty results file") from None
         if tuple(header) != RESULT_FIELDS:
             raise DataError(f"{path}: unexpected header {header}")
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(RESULT_FIELDS):
-                raise DataError(f"{path}: line {line_no} has {len(record)} fields")
-            row = {}
-            for f, v in zip(RESULT_FIELDS, record):
+        records = []
+        for line_no, cells in enumerate(reader, start=2):
+            if len(cells) != len(RESULT_FIELDS):
+                raise DataError(f"{path}: line {line_no} has {len(cells)} fields")
+            values = []
+            for (name, kind, optional), text in zip(parsers, cells):
                 try:
-                    row[f] = _coerce(f, v)
+                    values.append(None if optional and not text else kind(text))
                 except ValueError:
-                    raise DataError(f"{path}: line {line_no}, field {f!r}: cannot parse {v!r}") from None
-            rows.append(row)
-    return rows
+                    raise DataError(f"{path}: line {line_no}, field {name!r}: cannot parse {text!r}") from None
+            records.append(RunRecord(*values))
+    return records
+
+
+def mean_improvements(records: Iterable[RunRecord]) -> dict[tuple[str, int], tuple[float, int]]:
+    """Mean improvement over datasets for every (model, horizon) of run records.
+
+    Averages the `improvement_vs_persistence` of each ok record of a trained
+    model; records without one (a failed or zero baseline) are left out.
+    Returns {(model, horizon): (mean improvement, number of records averaged)}.
+    """
+    buckets: dict[tuple[str, int], list[float]] = {}
+    for r in records:
+        imp = r.improvement_vs_persistence
+        if r.status == "ok" and r.model != "Persistence" and imp is not None:
+            buckets.setdefault((r.model, r.horizon), []).append(imp)
+    return {key: (sum(vals) / len(vals), len(vals)) for key, vals in buckets.items()}
 
 
 def _variant_rank(name: str) -> int:
@@ -122,7 +147,8 @@ def _fmt_mae(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
-def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config_hash: str | None = None) -> str:
+def render_report(records: list[RunRecord], title: str = "Forecast benchmark",
+                  config_hash: str | None = None) -> str:
     """Markdown summary of one run: MAE grid, improvements, skips and errors.
 
     In the MAE grid the best value per row is bold and trained models that
@@ -135,10 +161,10 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
     if config_hash:
         lines += [f"Config hash: `{config_hash}`", ""]
 
-    ok = [r for r in rows if r["status"] == "ok"]
-    models = _model_order(r["model"] for r in ok)
-    group_keys = sorted({(r["dataset"], r["horizon"]) for r in rows})
-    cells = {(r["dataset"], r["horizon"], r["model"]): r for r in ok}
+    ok = [r for r in records if r.status == "ok"]
+    models = _model_order(r.model for r in ok)
+    group_keys = sorted({(r.dataset, r.horizon) for r in records})
+    cells = {(r.dataset, r.horizon, r.model): r for r in ok}
 
     lit_models = [
         m
@@ -155,22 +181,22 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
     lines.append("|" + "---|" * len(header))
     for dataset, horizon in group_keys:
         row_cells = [cells.get((dataset, horizon, m)) for m in models]
-        maes = [c["mae"] for c in row_cells if c is not None and c["mae"] is not None]
+        maes = [c.mae for c in row_cells if c is not None and c.mae is not None]
         best = min(maes) if maes else None
         base = cells.get((dataset, horizon, "Persistence"))
-        base_mae = base["mae"] if base else None
+        base_mae = base.mae if base else None
         rendered = []
         for c in row_cells:
-            if c is None or c["mae"] is None:
+            if c is None or c.mae is None:
                 rendered.append("n/a")
                 continue
-            text = _fmt_mae(c["mae"])
-            if best is not None and c["mae"] == best:
+            text = _fmt_mae(c.mae)
+            if best is not None and c.mae == best:
                 text = f"**{text}**"
-            if c["model"] != "Persistence" and base_mae is not None:
-                if c["mae"] < base_mae:
+            if c.model != "Persistence" and base_mae is not None:
+                if c.mae < base_mae:
                     text += " ✓"
-                elif c["mae"] > base_mae:
+                elif c.mae > base_mae:
                     text += " ✗"
             rendered.append(text)
         for m in lit_models:
@@ -185,7 +211,7 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
         "",
     ]
 
-    improvements = mean_improvements(rows)
+    improvements = mean_improvements(records)
     if improvements:
         lines += ["## Mean improvement over the baseline", ""]
         lines.append("| model | horizon | mean improvement | datasets |")
@@ -198,22 +224,21 @@ def render_report(rows: list[Mapping], title: str = "Forecast benchmark", config
             lines.append(f"| {model} | {horizon} | {100.0 * mean:.1f}% | {n} |")
         lines.append("")
 
-    not_ok = [r for r in rows if r["status"] != "ok"]
+    not_ok = [r for r in records if r.status != "ok"]
     if not_ok:
         lines += ["## Skipped and failed runs", ""]
-        for r in sorted(not_ok, key=lambda r: (r["dataset"], r["horizon"], r["model"])):
-            lines.append(
-                f"- {r['dataset']} / {r['model']} @ {r['horizon']}: {r['status']} ({r['reason']})"
-            )
+        for r in sorted(not_ok, key=lambda r: (r.dataset, r.horizon, r.model)):
+            lines.append(f"- {r.dataset} / {r.model} @ {r.horizon}: {r.status} ({r.reason})")
         lines.append("")
 
-    counts = status_counts(r["status"] for r in rows)
+    counts = status_counts(r.status for r in records)
     lines.append(f"Runs: {counts['ok']} ok, {counts['skipped']} skipped, {counts['error']} failed.")
     lines.append("")
     return "\n".join(lines)
 
 
-def write_report(path, rows: list[Mapping], title: str = "Forecast benchmark", config_hash: str | None = None) -> Path:
+def write_report(path, records: list[RunRecord], title: str = "Forecast benchmark",
+                 config_hash: str | None = None) -> Path:
     p = Path(path)
-    p.write_text(render_report(rows, title=title, config_hash=config_hash), encoding="utf-8")
+    p.write_text(render_report(records, title=title, config_hash=config_hash), encoding="utf-8")
     return p

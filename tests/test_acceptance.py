@@ -16,9 +16,10 @@ import pytest
 
 from sinecast.autodiff import Parameter, Tensor, grad_check
 from sinecast.data import SplitSpec, make_windows, split
-from sinecast.evaluation import evaluate, improvement, mean_improvements
+from sinecast.evaluation import evaluate, improvement
 from sinecast.experiment import DatasetSource, ExperimentConfig, run_experiment
 from sinecast.models import VARIANTS, Forecaster, ModelConfig
+from sinecast.reporting import RunRecord, mean_improvements
 from sinecast.synthetic import as_table, sine_series
 from sinecast.training import (
     AdamState,
@@ -224,8 +225,8 @@ def test_criterion_6_optimizer_and_schedule_oracles():
 def test_criterion_7_improvement_formula_and_aggregation():
     imp = improvement(0.480, 0.392)
     rows = [
-        {"dataset": dataset, "model": "SLP", "horizon": 96, "status": "ok",
-         "improvement_vs_persistence": improvement(base, model_mae)}
+        RunRecord(dataset=dataset, model="SLP", horizon=96, input_len=96, train_portion=1.0,
+                  seed=0, status="ok", improvement_vs_persistence=improvement(base, model_mae))
         for dataset, base, model_mae in (("site-a", 0.5, 0.4), ("site-b", 0.6, 0.3))
     ]
     means = mean_improvements(rows)

@@ -35,8 +35,8 @@ class TestLoadCsv:
         p = tmp_path / "ts.csv"
         p.write_text("date,x\n2020-01-01,1\n2020-01-02,2\n")
         t = load_csv(p, timestamp_column="date")
-        assert t.n_channels == 1
-        assert t.timestamps == ("2020-01-01", "2020-01-02")
+        assert t.columns == ("x",)
+        assert np.array_equal(t.values, [[1], [2]])
 
     def test_header_only_is_empty(self, tmp_path):
         p = tmp_path / "empty.csv"

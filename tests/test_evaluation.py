@@ -10,12 +10,9 @@ from sinecast import autodiff
 from sinecast.autodiff import Tensor, no_grad
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError
-from sinecast.evaluation import (
-    evaluate,
-    improvement,
-    mean_improvements,
-)
+from sinecast.evaluation import evaluate, improvement
 from sinecast.models import VARIANTS, Forecaster, ModelConfig
+from sinecast.reporting import RunRecord, mean_improvements
 
 
 def serial_mae(model, ds, batch_size):
@@ -192,8 +189,8 @@ class TestImprovement:
 
 
 def _row(dataset, model, horizon, imp, status="ok"):
-    return {"dataset": dataset, "model": model, "horizon": horizon, "status": status,
-            "improvement_vs_persistence": imp}
+    return RunRecord(dataset=dataset, model=model, horizon=horizon, input_len=horizon,
+                     train_portion=1.0, seed=0, status=status, improvement_vs_persistence=imp)
 
 
 class TestAggregateImprovements:

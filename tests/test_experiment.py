@@ -400,13 +400,13 @@ class TestTune:
             tuning={"input_lens": [24, 48], "train_portions": [0.5, 1.0]},
         ))
         outcome = tune(cfg, out_dir=tmp_path / "out")
-        ok = [r for r in outcome.rows if r["status"] == "ok"]
+        ok = [r for r in outcome.rows if r.status == "ok"]
         assert len(ok) == 4
         best = outcome.best["SLP@24"]
-        expected = min(ok, key=lambda r: (r["val_mae"], r["input_len"], -r["train_portion"]))
-        assert best["input_len"] == expected["input_len"]
-        assert best["train_portion"] == expected["train_portion"]
-        assert best["val_mae"] == expected["val_mae"]
+        expected = min(ok, key=lambda r: (r.val_mae, r.input_len, -r.train_portion))
+        assert best["input_len"] == expected.input_len
+        assert best["train_portion"] == expected.train_portion
+        assert best["val_mae"] == expected.val_mae
         assert outcome.table_path.exists()
         assert json.loads(outcome.best_path.read_text())["SLP@24"] == best
 
@@ -416,7 +416,7 @@ class TestTune:
             tuning={"input_lens": [24, 500], "train_portions": [1.0]},
         ))
         outcome = tune(cfg, out_dir=tmp_path / "out")
-        statuses = {r["input_len"]: r["status"] for r in outcome.rows}
+        statuses = {r.input_len: r.status for r in outcome.rows}
         assert statuses == {24: "ok", 500: "infeasible"}
 
     def test_window_shorter_than_horizon_is_infeasible(self, tmp_path):
@@ -425,9 +425,9 @@ class TestTune:
             tuning={"input_lens": [12, 24], "train_portions": [1.0]},
         ))
         outcome = tune(cfg, out_dir=tmp_path / "out")
-        short = next(r for r in outcome.rows if r["input_len"] == 12)
-        assert short["status"] == "infeasible"
-        assert "input_len 12 < horizon 24" in short["reason"]
+        short = next(r for r in outcome.rows if r.input_len == 12)
+        assert short.status == "infeasible"
+        assert "input_len 12 < horizon 24" in short.reason
 
     def test_longer_window_wins_when_period_exceeds_horizon(self, tmp_path):
         # one period = 36 quiet samples then a 12-sample bump; a 24-sample
@@ -447,7 +447,7 @@ class TestTune:
             tuning={"input_lens": [24, 48], "train_portions": [1.0]},
         ))
         outcome = tune(cfg, out_dir=tmp_path / "out")
-        by_len = {r["input_len"]: r["val_mae"] for r in outcome.rows if r["status"] == "ok"}
+        by_len = {r.input_len: r.val_mae for r in outcome.rows if r.status == "ok"}
         assert by_len[48] < by_len[24]
         assert outcome.best["Linear@24"]["input_len"] == 48
 
@@ -482,12 +482,12 @@ class TestTune:
             tuning={"input_lens": [24, 48], "train_portions": [0.5, 1.0]},
         )
         outcome = tune(load_config(path), out_dir=tmp_path / "out")
-        sencoder = [r for r in outcome.rows if r["model"] == "Sencoder"]
+        sencoder = [r for r in outcome.rows if r.model == "Sencoder"]
         assert len(sencoder) == 4
         for r in sencoder:
-            assert r["status"] == "skipped"
-            assert r["reason"].startswith("intractable at this horizon")
-            assert "0.05 MB budget" in r["reason"]
+            assert r.status == "skipped"
+            assert r.reason.startswith("intractable at this horizon")
+            assert "0.05 MB budget" in r.reason
         assert "SLP@24" in outcome.best
         assert not any(key.startswith("Sencoder@") for key in outcome.best)
         assert main(["tune", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
@@ -506,10 +506,10 @@ class TestTune:
             tuning={"input_lens": [24, 48], "train_portions": [1.0]},
         ))
         outcome = tune(cfg, out_dir=tmp_path / "out")
-        by_len = {r["input_len"]: r for r in outcome.rows}
-        assert by_len[48]["status"] == "error"
-        assert by_len[48]["reason"] == "RuntimeError: boom"
-        assert by_len[24]["status"] == "ok"
+        by_len = {r.input_len: r for r in outcome.rows}
+        assert by_len[48].status == "error"
+        assert by_len[48].reason == "RuntimeError: boom"
+        assert by_len[24].status == "ok"
         assert outcome.best["SLP@24"]["input_len"] == 24
 
 

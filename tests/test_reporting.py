@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from sinecast.errors import DataError
 from sinecast.reporting import (
     RESULT_FIELDS,
+    RunRecord,
     read_results_csv,
     render_report,
     write_results_csv,
@@ -10,22 +13,19 @@ from sinecast.reporting import (
 
 
 def row(**kwargs):
-    base = {
-        "dataset": "toy",
-        "model": "SLP",
-        "horizon": 24,
-        "input_len": 24,
-        "train_portion": 1.0,
-        "seed": 0,
-        "status": "ok",
-        "reason": "",
-        "mae": 0.5,
-        "n_windows": 10,
-        "best_epoch": 3,
-        "improvement_vs_persistence": 0.25,
-    }
-    base.update(kwargs)
-    return base
+    base = RunRecord(dataset="toy", model="SLP", horizon=24, input_len=24, train_portion=1.0,
+                     seed=0, status="ok", reason="", mae=0.5, n_windows=10, best_epoch=3,
+                     improvement_vs_persistence=0.25)
+    return dataclasses.replace(base, **kwargs)
+
+
+def grid_row(text, dataset, horizon):
+    """The Test MAE grid's row for (dataset, horizon), as {column header: cell}."""
+    lines = text.splitlines()
+    header = next(line for line in lines if line.startswith("| dataset | horizon |"))
+    row_line = next(line for line in lines if line.startswith(f"| {dataset} | {horizon} |"))
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in (header, row_line)]
+    return dict(zip(*cells))
 
 
 class TestResultsCsv:
@@ -39,7 +39,10 @@ class TestResultsCsv:
                 improvement_vs_persistence=None),
         ]
         path = write_results_csv(tmp_path / "results.csv", rows)
-        assert read_results_csv(path) == rows
+        got = read_results_csv(path)
+        assert got == rows
+        # each column comes back as its field's type, not only as an equal value
+        assert list(map(type, dataclasses.astuple(got[0]))) == list(map(type, dataclasses.astuple(rows[0])))
 
     def test_floats_written_via_repr(self, tmp_path):
         path = write_results_csv(tmp_path / "r.csv", [row(mae=0.1 + 0.2)])
@@ -48,7 +51,7 @@ class TestResultsCsv:
     def test_reason_with_comma_survives(self, tmp_path):
         rows = [row(status="error", reason="a, b, and c", mae=None)]
         path = write_results_csv(tmp_path / "r.csv", rows)
-        assert read_results_csv(path)[0]["reason"] == "a, b, and c"
+        assert read_results_csv(path)[0].reason == "a, b, and c"
 
     def test_header_is_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -74,6 +77,15 @@ class TestResultsCsv:
         lines[2] = lines[2].replace("MLP,24,", "MLP,abc,")
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 3, field 'horizon': cannot parse 'abc'"):
+            read_results_csv(p)
+
+    def test_empty_cell_only_where_the_field_allows_none(self, tmp_path):
+        p = write_results_csv(tmp_path / "r.csv", [row(reason="", mae=None), row(model="MLP")])
+        assert read_results_csv(p)[0].mae is None
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].replace("MLP,24,", "MLP,,")
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 3, field 'horizon': cannot parse ''"):
             read_results_csv(p)
 
     def test_writes_are_byte_identical(self, tmp_path):
@@ -130,13 +142,18 @@ class TestRenderReport:
             row(dataset="ETTh1", horizon=96, model="SLP", mae=0.45,
                 improvement_vs_persistence=0.1),
         ]
-        text = render_report(rows)
-        assert "FEDformer (reported)" in text
-        assert "0.419" in text
+        cells = grid_row(render_report(rows), "ETTh1", 96)
+        assert cells["SLP"] == "**0.450** ✓"
+        assert cells["FEDformer (reported)"] == "0.419"
+        assert cells["Informer (reported)"] == "0.713"
 
     def test_unknown_dataset_has_no_reported_columns(self):
-        text = render_report(self.rows())
-        assert "(reported)" not in text.splitlines()[6]
+        # "toy" and the names a synthetic config's dataset takes from its generator
+        for name in ("toy", "sine", "multi_sine_trend", "tidal"):
+            rows = [dataclasses.replace(r, dataset=name) for r in self.rows()]
+            text = render_report(rows)
+            assert "(reported)" not in text
+            assert list(grid_row(text, name, 24)) == ["dataset", "horizon", "Persistence", "SLP", "MLP"]
 
     def test_config_hash_line(self):
         text = render_report(self.rows(), config_hash="abc123")

@@ -490,10 +490,13 @@ class TestTrainModel:
         assert len(alive_at_forward) == len(losses) - 1 > 2
         assert not any(alive_at_forward)
 
-    def test_attention_step_holds_one_set_of_probabilities(self, monkeypatch):
+    def test_attention_step_holds_one_set_of_probabilities(self, monkeypatch, set_cpus):
         # every later step peaks within a quarter of one probability set of
         # the first; a previous graph kept alive through the next forward
-        # would add a whole set
+        # would add a whole set. One CPU runs the batch chunks as one part:
+        # with two, whether the parts' backward transients overlap is thread
+        # timing, which moves a step's peak by about two of them (~0.5 MB)
+        set_cpus(1)
         train, val = self._datasets(input_len=8, horizon=48)
         model = Forecaster(ModelConfig(variant="Sencoder", input_len=8, horizon=48, channels=1,
                                        d_model=4, n_heads=2, ffn_dim=4, seed=3))
