@@ -20,7 +20,10 @@ Where a chain of ops would only build one formula, it is one op instead, so
 the tape keeps one output and backward allocates only what the formula
 needs: :func:`dense` is the only matrix product (a layer's weight and bias in
 one node), :func:`layer_norm_rows` a whole normalization and
-:func:`multi_head_attention` a whole attention site.
+:func:`multi_head_attention` a whole attention site, whose node keeps each
+softmax row's max and sum rather than the [batch, m, n] probabilities and
+rebuilds them in backward. A backward closure computes no contribution for
+an operand that needs no gradient, such as a data batch or a target.
 
 Two places run on more than one thread, both through :func:`_run_split`:
 the attention op splits its batch chunks, and ``evaluation.evaluate`` its
@@ -180,7 +183,7 @@ class Tensor:
             _acc(self, g)
             if reduce_axes is None:
                 _acc(other, g)
-            else:
+            elif other.requires_grad:
                 _acc(other, g.sum(axis=reduce_axes))
 
         return Tensor._from_op(self.data + other.data, (self, other), bw, "add")
@@ -193,7 +196,8 @@ class Tensor:
 
         def bw(g):
             _acc(self, g)
-            _acc(other, -g)
+            if other.requires_grad:
+                _acc(other, -g)
 
         return Tensor._from_op(self.data - other.data, (self, other), bw, "sub")
 
@@ -209,8 +213,10 @@ class Tensor:
             raise ShapeError(f"mul: shapes {self.shape} and {other.shape} differ")
 
         def bw(g):
-            _acc(self, g * other.data)
-            _acc(other, g * self.data)
+            if self.requires_grad:
+                _acc(self, g * other.data)
+            if other.requires_grad:
+                _acc(other, g * self.data)
 
         return Tensor._from_op(self.data * other.data, (self, other), bw, "mul")
 
@@ -405,9 +411,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
     leading axes; head h reads the h-th of `n_heads` equal slices of the last
     axis of each, and writes the same slice of the [..., m, e] output. A
     causal call lets query i attend to keys 0..i only: `_MASK_FILL` is added
-    to every score above the diagonal before the softmax, through one [m, n]
-    array made for the call and dropped with it. Backward never reads it: the
-    fill is a constant, and the zero probabilities it leaves pass no gradient.
+    to every score above the diagonal before the softmax, from one [m, n]
+    array that the forward makes and backward makes again, so the node does
+    not keep it.
 
     The leading axes are flattened into one batch axis, which is walked in
     chunks sized so that one chunk's [c, m, n] score block (at most
@@ -417,21 +423,27 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
     most one part per chunk, and one part inside a part of another split,
     such as a scoring batch): the calling thread runs the last part and a
     shared thread pool the others, and each part writes only its own chunks'
-    slices. For backward the graph keeps only the probabilities P, one
-    [batch, m, n] array per head (separate arrays, not one [H, ...] array: at
-    L=192, B=32 that exceeds glibc's 32 MB mmap threshold and is page-faulted
-    in afresh). When no graph is recorded, no probabilities are kept and each
-    part reuses one chunk-sized block for all its chunks and heads. Backward
-    walks the same chunks, parts and heads and uses
-    dS = P * (dP - rowsum(dP * P)) (the form FlashAttention uses, Dao et al.
-    2022), so its transients are one chunk per part. Each batch element sees
-    the same float operations, in the same order, as composing a batched
-    matrix product, scale, causal fill, max-shifted softmax and a batched matrix
-    product node by node, so the results equal that composition bit for bit,
-    whatever the chunk size and the CPU count. On a 2-CPU Xeon VM with one
-    BLAS thread, at [32, 192, 32] inputs and 4 heads, two parts take the taped
-    forward from 34 to 22 ms, backward from 41 to 29 ms and a no_grad forward
-    from 30 to 20 ms (medians of 35 calls).
+    slices. Each part reuses one chunk-sized block for the probabilities P of
+    all its chunks and heads, with or without a graph. For backward the
+    graph keeps no P, only each row's max and sum, two [n_heads, batch, m, 1]
+    arrays (the row statistics of Rabe & Staats 2021 and FlashAttention, Dao
+    et al. 2022). Backward walks the same chunks, parts and heads, rebuilds
+    each chunk's P into its part's block by the forward's own operations (the
+    score product, scale and causal fill, then subtracting the stored max,
+    exp, and dividing by the stored sum), and uses
+    dS = P * (dP - rowsum(dP * P)), with dS and dP * P in two more reused
+    blocks per part. So a taped call keeps 2 * n_heads * batch * m floats
+    beyond its output, not n_heads * batch * m * n, and its transients are
+    three chunks per part. Each batch element sees the same float
+    operations, in the same order, as composing a batched matrix product,
+    scale, causal fill, max-shifted softmax and a batched matrix product node
+    by node, and backward rebuilds the same P bit for bit, so the results
+    equal that composition bit for bit, whatever the chunk size and the CPU
+    count. On a 2-CPU Xeon VM with one BLAS thread, at [32, 192, 32] inputs
+    and 4 heads in two parts, a taped forward takes 20 ms and its backward
+    37 ms, against 23 and 28 ms when the graph kept P (medians of five rounds
+    of 40 calls); in one part the call's tracemalloc peak is 10.3 MiB
+    against 45.6 MiB.
     """
     if n_heads < 1:
         raise ShapeError(f"multi_head_attention: n_heads={n_heads} must be >= 1")
@@ -444,7 +456,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
             f"multi_head_attention: widths {q.shape[-1]} and {v.shape[-1]} not divisible by {n_heads} heads"
         )
     (m, d), (n, e) = q.shape[-2:], v.shape[-2:]
-    fill = np.triu(np.full((m, n), _MASK_FILL), k=1) if causal else None
     qf, kf, vf = q.data.reshape(-1, m, d), k.data.reshape(-1, n, d), v.data.reshape(-1, n, e)
     batch = qf.shape[0]
     c = max(1, _CHUNK_BYTES // (m * n * 8))
@@ -453,43 +464,58 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
     scale = 1.0 / np.sqrt(dh)
     heads = [(slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)) for h in range(n_heads)]
 
+    def scores(p, sl, qk, fill):
+        """Write head `qk`'s scaled, causally filled scores of chunk `sl` into `p`."""
+        np.matmul(qf[sl, :, qk], np.swapaxes(kf[sl, :, qk], -1, -2), out=p)
+        p *= scale
+        if fill is not None:
+            p += fill
+
     out_flat = np.empty((batch, m, e))
     taped = _records((q, k, v))
-    probs = [np.empty((batch, m, n)) for _ in heads] if taped else None
+    row_max = np.empty((n_heads, batch, m, 1)) if taped else None
+    row_sum = np.empty((n_heads, batch, m, 1)) if taped else None
+    fill = _causal_fill(m, n) if causal else None
 
     def forward(part):
-        block = None if taped else np.empty((min(c, batch), m, n))
+        block = np.empty((min(c, batch), m, n))
         for sl in part:
+            p = block[: sl.stop - sl.start]
             for h, (qk, vs) in enumerate(heads):
-                p = probs[h][sl] if taped else block[: sl.stop - sl.start]
-                np.matmul(qf[sl, :, qk], np.swapaxes(kf[sl, :, qk], -1, -2), out=p)
-                p *= scale
-                if causal:
-                    p += fill
-                p -= p.max(axis=-1, keepdims=True)
+                scores(p, sl, qk, fill)
+                mx = p.max(axis=-1, keepdims=True)
+                p -= mx
                 np.exp(p, out=p)
-                p /= p.sum(axis=-1, keepdims=True)
-                out_flat[sl, :, vs] = p @ vf[sl, :, vs]
+                total = p.sum(axis=-1, keepdims=True)
+                p /= total
+                if taped:
+                    row_max[h, sl], row_sum[h, sl] = mx, total
+                np.matmul(p, vf[sl, :, vs], out=out_flat[sl, :, vs])
 
     _run_split(forward, chunks)
 
     def bw(g):
         gf = g.reshape(batch, m, e)
         gq, gk, gv = np.empty(qf.shape), np.empty(kf.shape), np.empty(vf.shape)
+        fill = _causal_fill(m, n) if causal else None
 
         def backward_part(part):
+            blocks = [np.empty((min(c, batch), m, n)) for _ in range(3)]
             for sl in part:
-                for (qk, vs), p_all in zip(heads, probs):
-                    p = p_all[sl]
+                p, ds, dsp = (b[: sl.stop - sl.start] for b in blocks)
+                for h, (qk, vs) in enumerate(heads):
+                    scores(p, sl, qk, fill)
+                    p -= row_max[h, sl]
+                    np.exp(p, out=p)
+                    p /= row_sum[h, sl]
                     g_h = gf[sl, :, vs]
-                    gv[sl, :, vs] = np.swapaxes(p, -1, -2) @ g_h
-                    ds = g_h @ np.swapaxes(vf[sl, :, vs], -1, -2)
-                    dot = (ds * p).sum(axis=-1, keepdims=True)
-                    ds -= dot
+                    np.matmul(np.swapaxes(p, -1, -2), g_h, out=gv[sl, :, vs])
+                    np.matmul(g_h, np.swapaxes(vf[sl, :, vs], -1, -2), out=ds)
+                    ds -= np.multiply(ds, p, out=dsp).sum(axis=-1, keepdims=True)
                     ds *= p
                     ds *= scale
-                    gq[sl, :, qk] = ds @ kf[sl, :, qk]
-                    gk[sl, :, qk] = np.swapaxes(ds, -1, -2) @ qf[sl, :, qk]
+                    np.matmul(ds, kf[sl, :, qk], out=gq[sl, :, qk])
+                    np.matmul(np.swapaxes(ds, -1, -2), qf[sl, :, qk], out=gk[sl, :, qk])
 
         _run_split(backward_part, chunks)
         _acc(q, gq.reshape(q.shape))
@@ -497,6 +523,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: 
         _acc(v, gv.reshape(v.shape))
 
     return Tensor._from_op(out_flat.reshape(q.shape[:-1] + (e,)), (q, k, v), bw, "multi_head_attention")
+
+
+def _causal_fill(m: int, n: int) -> np.ndarray:
+    """[m, n]: `_MASK_FILL` above the diagonal, 0 on and below it."""
+    return np.triu(np.full((m, n), _MASK_FILL), k=1)
 
 
 def _split_pool() -> ThreadPoolExecutor:

@@ -6,6 +6,7 @@ positive means the model beats the baseline.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,36 @@ class EvalResult:
             raise ConfigError(f"n_windows must be >= 1, got {self.n_windows}")
 
 
+# glibc's mallopt parameters, and the ceilings its dynamic thresholds reach on
+# 64-bit systems: a freed mmapped block raises the mmap threshold to its size,
+# up to 32 MB, and the trim threshold to twice that.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds at the ceilings they rise to.
+
+    A training step frees its whole graph before the next forward builds one
+    of the same size, and a scoring batch frees its activations before the
+    next batch makes its own. Under the dynamic thresholds that freed memory
+    sits at the top of the heap and is trimmed back to the OS, so every step
+    or batch faults it in again; with the thresholds at their ceilings it
+    stays mapped and the next one reuses it. The cost is that up to 64 MB of
+    freed heap per malloc arena can stay mapped. ``train_model`` and
+    :func:`evaluate` both call it, so training and scoring run under one
+    heap policy. Process-wide, and a no-op where the C library has no
+    ``mallopt``; returns whether both thresholds were set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
+
+
 def evaluate(
     model: Forecaster,
     test: WindowDataset,
@@ -49,13 +80,15 @@ def evaluate(
     added in batch order, so the MAE is bit-identical to a serial loop over
     the batches whatever the CPU count. It does depend on `batch_size`: each
     batch's sum is rounded before it is added. `dataset_name` only names the
-    test set in the error for an empty one.
+    test set in the error for an empty one. It pins the heap thresholds
+    (:func:`_pin_malloc_thresholds`) first.
     """
     if batch_size < 1:
         raise ConfigError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     n = len(test)
     if n == 0:
         raise ConfigError(f"evaluate: empty test set for {dataset_name or model.config.variant}")
+    _pin_malloc_thresholds()
     starts = list(range(0, n, batch_size))
     slots: list[tuple[float, int]] = [(0.0, 0)] * len(starts)
 

@@ -465,22 +465,22 @@ def tail_portion(table: TimeSeriesTable, portion: float) -> TimeSeriesTable:
 def attention_memory_bytes(variant: str, n_heads: int, batch: int, horizon: int) -> int:
     """Rough peak size of the attention buffers of one training step.
 
-    Attention is one autodiff op (``autodiff.multi_head_attention``). For
-    backward it keeps, per attention site, one [batch, T, T] array of softmax
-    probabilities per head. ``train_model`` drops each step's graph before
-    the next forward, so every step holds one set of them, not only the
-    first. Its forward and backward split the batch chunks into one part per
-    CPU, and each part works on one chunk and head at a time, so their
-    transients (the score block, dP overwritten into dS, and dS * P) are one
-    chunk per part: at most 256 KB each, or one [T, T] array when that is
-    larger. Scoring, which keeps no probabilities, holds one
-    batch per CPU, each running its attention as one part. The factor 4 per
-    head and site covers the probabilities with room to spare. The
-    projection, feed-forward and layer-norm activations are not counted, so
-    at short horizons a step's measured peak can exceed this estimate (a
-    B=32 step's tracemalloc peak over this estimate, the first step's and
-    every later one's: Sencoder 0.75 at T=96, 0.50 at 192, 0.40 at 336;
-    Sinformer 0.60 at 96). Non-attention models return 0.
+    Attention is one autodiff op (``autodiff.multi_head_attention``). The
+    estimate counts four [batch, T, T] arrays of softmax probabilities per
+    head and site. A step holds none of them whole: the op's graph keeps
+    only each softmax row's max and sum (2 * batch * T floats per head and
+    site), and backward rebuilds the probabilities one batch chunk at a
+    time, so the op's [T, T]-sized arrays are three chunks per CPU part (at
+    most 256 KB each, or one [T, T] array when that is larger). The
+    estimate therefore over-counts them, by more as T grows; it keeps this
+    formula so that every skip decision stays the same. ``train_model``
+    drops each step's graph before the next forward, so every step holds
+    what the first does. Scoring holds one batch per CPU, each running its
+    attention as one part. The projection, feed-forward and layer-norm
+    activations are not counted. Measured, a B=32 step's tracemalloc peak
+    over this estimate, the first step's and every later one's, is
+    Sencoder 0.51 at T=96, 0.26 at 192, 0.15 at 336 and Sinformer 0.36 at
+    96. Non-attention models return 0.
     """
     sites = ATTENTION_SITES.get(variant, 0)
     return sites * 4 * n_heads * batch * horizon * horizon * 8

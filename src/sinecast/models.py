@@ -143,9 +143,9 @@ def moving_average(x: np.ndarray, kernel: int) -> np.ndarray:
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False, n_heads: int = 1) -> Tensor:
     """softmax(q k^T / sqrt(d)) v per head, for [m, d] rows or [N, m, d] batches.
 
-    One autodiff op (:func:`multi_head_attention`) that keeps only the
-    softmax probabilities of each head for backward. With `causal`, query i
-    attends to keys 0..i only.
+    One autodiff op (:func:`multi_head_attention`) that keeps only each
+    softmax row's max and sum per head for backward, which rebuilds the
+    probabilities from them. With `causal`, query i attends to keys 0..i only.
     """
     return multi_head_attention(q, k, v, n_heads, causal)
 
@@ -233,8 +233,11 @@ class Forecaster:
         if self._rng is None:
             p = Parameter._unset((out_dim, in_dim), name)
         else:
+            # adopt the freshly drawn C-order array instead of copying it,
+            # which would hold a second weight for the length of the build
             bound = 1.0 / np.sqrt(in_dim)
-            p = Parameter(self._rng.uniform(-bound, bound, size=(out_dim, in_dim)), name)
+            p = Parameter(np.empty(0), name)
+            p.data = self._rng.uniform(-bound, bound, size=(out_dim, in_dim))
         self.params[name] = p
         return p
 

@@ -7,7 +7,6 @@ the MLP additionally carries an elastic-net penalty on its weight matrices.
 from __future__ import annotations
 
 import csv
-import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, _acc, _owned_grad, backward
 from .data import WindowDataset, batches
 from .errors import ConfigError, NumericError
-from .evaluation import evaluate
+from .evaluation import _pin_malloc_thresholds, evaluate
 from .models import Forecaster
 
 __all__ = [
@@ -251,33 +250,6 @@ def _state_digest(state: AdamState) -> tuple:
         sum(float(m.sum()) for m in state.m),
         sum(float(v.sum()) for v in state.v),
     )
-
-
-# glibc's mallopt parameters, and the ceilings its dynamic thresholds reach on
-# 64-bit systems: a freed mmapped block raises the mmap threshold to its size,
-# up to 32 MB, and the trim threshold to twice that.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
-def _pin_malloc_thresholds() -> bool:
-    """Fix glibc's mmap and trim thresholds at the ceilings they rise to.
-
-    A training step frees its whole graph before the next forward builds one
-    of the same size. Under the dynamic thresholds that freed memory sits at
-    the top of the heap and is trimmed back to the OS, so every step faults
-    it in again; with the thresholds at their ceilings it stays mapped and
-    the next step reuses it. The cost is that up to 64 MB of freed heap per
-    malloc arena can stay mapped. Process-wide, and a no-op where the C
-    library has no ``mallopt``; returns whether both thresholds were set.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)) and bool(
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX))
 
 
 def train_model(

@@ -4,6 +4,7 @@ against central finite differences."""
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,40 @@ def reference_attention(q, k, v, n_heads, causal=False):
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         heads.append((e / e.sum(axis=-1, keepdims=True)) @ vh)
     return np.concatenate(heads, axis=-1)
+
+
+def stored_p_attention(q, k, v, g, n_heads, causal=False):
+    """Attention and its q/k/v gradients for output adjoint `g`, keeping each
+    head's probabilities P for backward instead of rebuilding them: the op's
+    operations in the op's order, on the whole batch at once."""
+    (m, d), (n, e) = q.shape[-2:], v.shape[-2:]
+    qf, kf, vf, gf = q.reshape(-1, m, d), k.reshape(-1, n, d), v.reshape(-1, n, e), g.reshape(-1, m, e)
+    dh, eh = d // n_heads, e // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    out, gq, gk, gv = np.empty(gf.shape), np.empty(qf.shape), np.empty(kf.shape), np.empty(vf.shape)
+    probs = []
+    for h in range(n_heads):
+        qk, vs = slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)
+        p = np.matmul(qf[:, :, qk], np.swapaxes(kf[:, :, qk], -1, -2))
+        p *= scale
+        if causal:
+            p += np.triu(np.full((m, n), -1e9), k=1)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, :, vs] = p @ vf[:, :, vs]
+        probs.append(p)
+    for h, p in enumerate(probs):
+        qk, vs = slice(h * dh, (h + 1) * dh), slice(h * eh, (h + 1) * eh)
+        g_h = gf[:, :, vs]
+        gv[:, :, vs] = np.swapaxes(p, -1, -2) @ g_h
+        ds = g_h @ np.swapaxes(vf[:, :, vs], -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        gq[:, :, qk] = ds @ kf[:, :, qk]
+        gk[:, :, qk] = np.swapaxes(ds, -1, -2) @ qf[:, :, qk]
+    return [out.reshape(g.shape), gq.reshape(q.shape), gk.reshape(k.shape), gv.reshape(v.shape)]
 
 
 class TestForwardValues:
@@ -397,6 +432,34 @@ class TestInPlaceAccumulation:
         self._check(monkeypatch, build, leaves, [p.data for p in leaves])
 
 
+class TestConstantOperands:
+    """Backward computes no contribution for an operand that needs no gradient,
+    as for a training step's target in ``pred - Tensor(yb)``."""
+
+    @staticmethod
+    def _backward_peak(loss):
+        tracemalloc.start()
+        try:
+            backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sub_allocates_nothing_of_the_constants_size(self):
+        rng = np.random.default_rng(48)
+        x, c = Parameter(rng.normal(size=(500, 400)), "x"), Tensor(rng.normal(size=(500, 400)))
+        peak = self._backward_peak((x - c).sum())
+        assert peak < c.data.nbytes / 4, peak
+        assert c.grad is None and np.array_equal(x.grad, np.ones(x.shape))
+
+    def test_mul_allocates_only_the_parameters_gradient(self):
+        rng = np.random.default_rng(49)
+        x, c = Parameter(rng.normal(size=(500, 400)), "x"), Tensor(rng.normal(size=(500, 400)))
+        peak = self._backward_peak((x * c).sum())
+        assert peak < 1.25 * c.data.nbytes, peak
+        assert c.grad is None and np.array_equal(x.grad, c.data)
+
+
 class TestNoGrad:
     def test_same_values_and_no_graph(self):
         w = Parameter(np.random.default_rng(0).normal(size=(3, 4)), "w")
@@ -582,6 +645,44 @@ class TestMultiHeadAttention:
             for a, b in zip(whole, chunked):
                 assert np.array_equal(a, b)
             assert np.array_equal(free, whole[0])
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("lead, m, n", [((7,), 6, 6), ((7,), 4, 9), ((2, 3), 9, 5), ((), 6, 6)])
+    def test_rebuilt_probabilities_match_stored_ones_exactly(self, monkeypatch, set_cpus, lead, m, n, causal):
+        # backward rebuilds P from each row's max and sum; every output and
+        # gradient equals the stored-P computation bit for bit
+        rng = np.random.default_rng(46)
+        q, k = rng.normal(size=lead + (m, 8)) * 3, rng.normal(size=lead + (n, 8)) * 3
+        v, g = rng.normal(size=lead + (n, 4)), rng.normal(size=lead + (m, 4))
+        expected = stored_p_attention(q, k, v, g, 2, causal)
+        # one chunk, chunks of three and of one [m, n] block
+        for chunk_bytes in (1 << 40, 3 * m * n * 8, m * n * 8):
+            monkeypatch.setattr(autodiff, "_CHUNK_BYTES", chunk_bytes)
+            for cpus in (1, 2, 8):
+                set_cpus(cpus)
+                for a, b in zip(expected, self._taped(q, k, v, g, 2, causal)):
+                    assert np.array_equal(a, b)
+
+    def test_taped_call_keeps_row_statistics_not_probabilities(self, set_cpus):
+        # [32, 720, 32] with 4 heads: keeping P would hold 4 * 32 * 720 * 720
+        # floats (506 MiB) from forward to backward
+        set_cpus(1)
+        batch, length, width, n_heads = 32, 720, 32, 4
+        stored_p = n_heads * batch * length * length * 8
+        rng = np.random.default_rng(47)
+        q, k, v = (Parameter(rng.normal(size=(batch, length, width)), name) for name in "qkv")
+        g = Tensor(rng.normal(size=(batch, length, width)))
+        tracemalloc.start()
+        try:
+            out = multi_head_attention(q, k, v, n_heads)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            backward((out * g).sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.01 * stored_p, kept
+        assert peak < 0.15 * stored_p, peak
+        assert q.grad is not None and k.grad is not None and v.grad is not None
 
     def test_one_part_starts_no_thread(self, monkeypatch, set_cpus):
         rng = np.random.default_rng(43)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from sinecast import autodiff
+from sinecast import autodiff, evaluation, training
 from sinecast.autodiff import Tensor, no_grad
 from sinecast.data import TimeSeriesTable, make_windows
 from sinecast.errors import ConfigError
@@ -91,6 +91,16 @@ class TestEvaluate:
         expected = np.abs(taped.data - yb).sum() / yb.size
         assert evaluate(model, ds, batch_size=len(ds)).mae == expected
         assert model(Tensor(xb)).requires_grad
+
+    def test_scores_under_the_heap_policy_training_uses(self, monkeypatch):
+        # scoring alone, as when saved checkpoints are scored, pins the same
+        # glibc thresholds that train_model does, through one definition
+        assert training._pin_malloc_thresholds is evaluation._pin_malloc_thresholds
+        calls = []
+        monkeypatch.setattr(evaluation, "_pin_malloc_thresholds", lambda: calls.append(True))
+        ds = make_windows(self._periodic(), input_len=16, horizon=8)
+        evaluate(Forecaster(ModelConfig(variant="Linear", input_len=16, horizon=8, channels=1)), ds)
+        assert calls == [True]
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, batch_size):

@@ -447,6 +447,19 @@ class TestFullModels:
         extra = held("Sinformer") - held("Sencoder")
         assert extra < 1_000_000, extra
 
+    def test_build_holds_no_copy_of_a_drawn_weight(self):
+        # each weight adopts the array it was drawn into: at L=720 a copy of
+        # the MLP's largest weight alone would be 4.1 MB more
+        np.random.default_rng(0)  # a process's first call keeps about 0.7 MB
+        tracemalloc.start()
+        try:
+            model = Forecaster(ModelConfig(variant="MLP", input_len=720, horizon=720, channels=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parameter_bytes = sum(p.data.nbytes for p in model.parameters())
+        assert peak < 1.05 * parameter_bytes, peak / parameter_bytes
+
     @pytest.mark.parametrize("variant", ["Sencoder", "Sinformer"])
     def test_attention_model_gradients(self, variant):
         m = Forecaster(toy_config(variant, seed=12))
